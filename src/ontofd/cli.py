@@ -10,6 +10,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,14 +19,16 @@ from .inference import kind_label
 from .lattice import DiscoveryConfig, discover
 from .ontology import Ontology, OntologyError, display_label, load_ontology
 from .relation import (
+    AttrSet,
     Relation,
     RelationError,
+    StrippedPartition,
     load_relation,
     partition,
     relation_from_rows,
     strip,
 )
-from .verify import Inheritance, Ofd, Synonym, support, verify
+from .verify import Inheritance, Ofd, Synonym, support
 
 
 class CliConfigError(Exception):
@@ -131,10 +134,17 @@ def inject_errors(
     cells = [(row, col) for col in target_columns for row in range(n)]
     chosen = rng.sample(cells, min(count, len(cells)))
     rows = [list(row) for row in relation.rows]
+    # Per column: how often each value occurs, and the sorted distinct values.
+    counts = {col: Counter(row[col] for row in relation.rows) for col in set(target_columns)}
+    values = {col: sorted(col_counts) for col, col_counts in counts.items()}
     log: list[CellChange] = []
     for row, col in sorted(chosen):
         old = rows[row][col]
-        pool = sorted({relation.rows[r][col] for r in range(n) if r != row})
+        # The values of the other rows: the column's own, less ``old`` if
+        # this row holds its only copy.
+        pool = values[col]
+        if counts[col][old] == 1:
+            pool = [v for v in pool if v != old]
         if not pool:
             continue
         if ontology is not None:
@@ -159,15 +169,17 @@ def report_violations(
     For every class failing the exact check, tuples consistent with the
     majority sense (or ancestor) keep their values; the minority tuples get
     the consequent value of the smallest-id majority tuple as the suggested
-    repair.  Dependencies that hold exactly produce no violations but still
-    get the savings statistic.
+    repair.  A class fails the exact check exactly when its majority split
+    leaves a non-empty minority.  Dependencies that hold exactly produce no
+    violations but still get the savings statistic.
     """
     entries: list[OfdViolationEntry] = []
+    parts: dict[AttrSet, StrippedPartition] = {}
     for ofd in ofds:
-        part = strip(partition(relation, ofd.lhs))
-        exact = verify(relation, ontology, part, ofd.rhs, ofd.kind)
+        part = parts.get(ofd.lhs)
+        if part is None:
+            part = parts[ofd.lhs] = strip(partition(relation, ofd.lhs))
         approx = support(relation, ontology, part, ofd.rhs, ofd.kind)
-        violating = {w.representative for w in exact.witnesses}
         violations: list[ClassViolation] = []
         satisfying_total = relation.n - part.covered_count
         unequal_total = 0
@@ -178,7 +190,7 @@ def report_violations(
             unequal_total += sum(
                 1 for t in members if relation.rows[t][ofd.rhs] != canonical
             )
-            if cls.representative in violating:
+            if cls.others:
                 minority_values = tuple(
                     relation.rows[t][ofd.rhs] for t in cls.others
                 )

@@ -7,7 +7,7 @@ set ``C+(X)`` of a node is the intersection of its parents' candidate sets;
 an attribute is dropped from it when the corresponding dependency is found to
 hold, which silently prunes every non-minimal superset candidate downstream.
 Verification of ``(X \\ A) -> A`` uses the parent node's partition, built
-once per node as the product of two sibling partitions.
+once per node by refining a parent's partition by the node's last attribute.
 
 Reported levels count antecedent attributes: level 1 covers single-attribute
 antecedents, and ``max_level`` caps the antecedent size.
@@ -25,12 +25,11 @@ from .relation import (
     Partition,
     Relation,
     StrippedPartition,
-    attr_set,
     partition,
-    product,
+    refine,
     strip,
 )
-from .verify import Inheritance, Ofd, OfdKind, Synonym, support, verify
+from .verify import Inheritance, Ofd, OfdKind, Synonym, agreement, sense_table
 
 NodePartition = Union[Partition, StrippedPartition]
 
@@ -85,11 +84,16 @@ class LatticeNode:
 
 @dataclass(frozen=True)
 class CandidatePlan:
-    """How each candidate at a node gets resolved."""
+    """How each candidate at a node gets resolved.
+
+    ``lhs_of[a]`` is the node's attribute set without ``a``: the antecedent
+    of candidate ``a`` and the key of that parent node.
+    """
 
     test: tuple[int, ...]
     key_resolved: frozenset[int]
     equal_fast_path: bool
+    lhs_of: Mapping[int, AttrSet]
 
 
 @dataclass
@@ -108,7 +112,11 @@ def _node_partition(relation: Relation, attrs: AttrSet, cfg: DiscoveryConfig) ->
 def calculate_next_level(
     current: Sequence[LatticeNode], relation: Relation, cfg: DiscoveryConfig
 ) -> list[LatticeNode]:
-    """Join pairs of same-level nodes that share all but their last attribute."""
+    """Join pairs of same-level nodes that share all but their last attribute.
+
+    A joined node's stripped partition refines the left node's partition by
+    the right node's last attribute.
+    """
     blocks: dict[AttrSet, list[LatticeNode]] = {}
     for node in current:
         blocks.setdefault(node.attrs[:-1], []).append(node)
@@ -116,9 +124,9 @@ def calculate_next_level(
     for block in blocks.values():
         block.sort(key=lambda n: n.attrs)
         for left, right in combinations(block, 2):
-            attrs = attr_set(left.attrs + right.attrs)
+            attrs = left.attrs + right.attrs[-1:]
             if cfg.stripped:
-                part: NodePartition = product(left.part, right.part)
+                part: NodePartition = refine(left.part, relation, attrs[-1])
             else:
                 part = partition(relation, attrs)
             next_nodes.append(LatticeNode(attrs, part))
@@ -133,22 +141,27 @@ def apply_optimizations(
 ) -> CandidatePlan:
     """Resolution plan for the candidates of one node.
 
-    Trivial candidates never exist (the rhs is always drawn from the node
-    itself, so the antecedent excludes it by construction).  A candidate
-    whose antecedent is a superkey needs no verification; the remaining ones
-    go through the verifier, optionally with the all-equal-values shortcut.
+    With candidate-set pruning the node's ``C+`` becomes the intersection of
+    its parents' candidate sets, and only candidates left in it are
+    examined.  Trivial candidates never exist (the rhs is always drawn from
+    the node itself, so the antecedent excludes it by construction).  A
+    candidate whose antecedent is a superkey needs no verification; the
+    remaining ones go through the verifier, optionally with the
+    all-equal-values shortcut.
     """
+    attrs = node.attrs
+    lhs_of = {a: attrs[:i] + attrs[i + 1:] for i, a in enumerate(attrs)}
     if cfg.opt2:
-        examine = sorted(set(node.attrs) & node.candidates)
+        node.candidates = set.intersection(*(parents[lhs].candidates for lhs in lhs_of.values()))
+        examine = sorted(set(attrs) & node.candidates)
     else:
-        examine = list(node.attrs)
+        examine = list(attrs)
     key_resolved = set()
     if cfg.opt3:
         for a in examine:
-            lhs = attr_set(v for v in node.attrs if v != a)
-            if parents[lhs].is_superkey:
+            if parents[lhs_of[a]].is_superkey:
                 key_resolved.add(a)
-    return CandidatePlan(tuple(examine), frozenset(key_resolved), cfg.opt4)
+    return CandidatePlan(tuple(examine), frozenset(key_resolved), cfg.opt4, lhs_of)
 
 
 @dataclass
@@ -172,39 +185,35 @@ def compute_ofds(
     cfg: DiscoveryConfig,
     acc: _Accumulator,
 ) -> list[Ofd]:
-    """Test the candidates of one level and prune the candidate sets."""
-    n_attrs = len(relation.schema)
-    if cfg.opt2:
-        for node in level:
-            candidates = set(range(n_attrs))
-            for b in node.attrs:
-                parent = attr_set(v for v in node.attrs if v != b)
-                candidates &= parents[parent].candidates
-            node.candidates = candidates
+    """Test the candidates of one level, prune the candidate sets, and
+    record the level's minimal keys.
+
+    Being a superkey carries over to supersets, so a superkey node is a
+    minimal key exactly when none of its parents is a superkey; every parent
+    is in ``parents`` because each level holds all attribute sets of its
+    size.
+    """
+    n = relation.n
+    tables = [sense_table(relation, ontology, a, cfg.kind) for a in range(len(relation.schema))]
     emitted: list[Ofd] = []
     for node in level:
         plan = apply_optimizations(node, parents, cfg)
+        if node.is_superkey and not any(
+            parents[lhs].is_superkey for lhs in plan.lhs_of.values()
+        ):
+            acc.keys_found.append(node.attrs)
         for a in plan.test:
-            lhs = attr_set(v for v in node.attrs if v != a)
+            lhs = plan.lhs_of[a]
             acc.candidates_tested += 1
             if a in plan.key_resolved:
-                holds, sup = True, 1.0
+                satisfied: int | None = n
             else:
-                parent_part = parents[lhs].part
-                if cfg.tau >= 1.0:
-                    outcome = verify(
-                        relation, ontology, parent_part, a, cfg.kind,
-                        equal_fast_path=plan.equal_fast_path,
-                    )
-                    holds, sup = outcome.holds, outcome.support
-                else:
-                    result = support(
-                        relation, ontology, parent_part, a, cfg.kind,
-                        equal_fast_path=plan.equal_fast_path,
-                    )
-                    holds, sup = result.support >= cfg.tau, result.support
-            if not holds:
+                satisfied = agreement(
+                    tables[a], parents[lhs].part.classes, cfg.tau, plan.equal_fast_path
+                )
+            if satisfied is None:
                 continue
+            sup = 1.0 if n == 0 else satisfied / n
             if cfg.opt2:
                 emitted.append(Ofd(lhs, a, cfg.kind, sup))
                 node.candidates.discard(a)
@@ -219,14 +228,6 @@ def compute_ofds(
     acc.ofds.extend(emitted)
     acc.emitted += len(emitted)
     return emitted
-
-
-def _record_keys(level: Sequence[LatticeNode], acc: _Accumulator) -> None:
-    for node in level:
-        if node.is_superkey:
-            covered = any(set(key) <= set(node.attrs) for key in acc.keys_found)
-            if not covered:
-                acc.keys_found.append(node.attrs)
 
 
 def discover(
@@ -254,7 +255,7 @@ def discover(
         else:
             part = _node_partition(relation, (a,), cfg)
         level.append(LatticeNode((a,), part, set(range(n_attrs))))
-    _record_keys(level, acc)
+    acc.keys_found.extend(node.attrs for node in level if node.is_superkey)
     node_size = 1
     per_level: list[LevelStats] = []
     parents: dict[AttrSet, LatticeNode] = {}
@@ -272,7 +273,6 @@ def discover(
                     time.perf_counter() - started,
                 )
             )
-            _record_keys(level, acc)
         if cfg.max_level is not None and node_size > cfg.max_level:
             break
         parents = {node.attrs: node for node in level}

@@ -187,13 +187,17 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
 
     Expected shape: ``{"classes": [{"id": ..., "synonyms": [...],
     "parents": [...]}, ...]}`` with ``parents`` optional.  Synonym strings are
-    trimmed of surrounding whitespace.
+    trimmed of surrounding whitespace.  Bytes that are not UTF-8 raise
+    ``OntologyError``.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            document = json.load(handle)
-    else:
-        document = json.load(source)
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8") as handle:
+                document = json.load(handle)
+        else:
+            document = json.load(source)
+    except UnicodeDecodeError as exc:
+        raise OntologyError(f"ontology is not valid UTF-8: {exc.reason}") from None
     if not isinstance(document, dict) or not isinstance(document.get("classes", []), list):
         raise OntologyError("ontology document must be an object with a 'classes' list")
     classes = []

@@ -1,4 +1,5 @@
-"""Tables, attribute-set partitions, and stripped-partition products.
+"""Tables, dictionary-encoded columns, attribute-set partitions, and
+stripped-partition products.
 
 All cells are strings.  Tuple ids are 0-based row positions in file order;
 every equivalence class is stored as a sorted tuple of ids, and classes are
@@ -9,8 +10,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 AttrSet = tuple[int, ...]
 
@@ -25,6 +28,22 @@ def attr_set(attrs: Iterable[int]) -> AttrSet:
     if result and result[0] < 0:
         raise ValueError("attribute indices must be non-negative")
     return result
+
+
+class EncodedColumn:
+    """One column as dictionary codes.
+
+    ``codes[t]`` is the code of tuple ``t``'s cell and ``values[code]`` the
+    cell string; codes number the distinct strings in order of first
+    appearance.  ``sense_tables`` holds what ``ontofd.verify`` derives from
+    the column, keyed weakly by ontology so the column never keeps one alive.
+    """
+
+    def __init__(self, cells: Iterable[str]):
+        index: dict[str, int] = {}
+        self.codes = tuple([index.setdefault(v, len(index)) for v in cells])
+        self.values = tuple(index)
+        self.sense_tables: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -45,6 +64,18 @@ class Relation:
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def columns(self) -> tuple[EncodedColumn, ...]:
+        """Dictionary encoding of every column, built on first use."""
+        return tuple(
+            EncodedColumn(row[a] for row in self.rows) for a in range(len(self.schema))
+        )
+
+    def __getstate__(self) -> dict:
+        # Pickle the table only: the encoding is a cache whose sense tables
+        # hold weak references, and a copy rebuilds it on first use.
+        return {"schema": self.schema, "rows": self.rows}
 
     def attr_index(self, name: str) -> int:
         try:
@@ -101,11 +132,15 @@ def load_relation(
 
     With ``header`` the first row becomes the schema; otherwise attribute
     names ``A1..An`` are synthesized from the first data row's width.
+    Bytes that are not UTF-8 raise ``RelationError``.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
-            return _parse_rows(csv.reader(handle, delimiter=delimiter), header)
-    return _parse_rows(csv.reader(source, delimiter=delimiter), header)
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, encoding="utf-8", newline="") as handle:
+                return _parse_rows(csv.reader(handle, delimiter=delimiter), header)
+        return _parse_rows(csv.reader(source, delimiter=delimiter), header)
+    except UnicodeDecodeError as exc:
+        raise RelationError(f"input is not valid UTF-8: {exc.reason}") from None
 
 
 def _parse_rows(reader: Iterable[list[str]], header: bool) -> Relation:
@@ -151,27 +186,46 @@ def strip(part: Partition) -> StrippedPartition:
     return StrippedPartition(part.over, kept, sum(len(c) for c in kept))
 
 
+def _split(
+    part: StrippedPartition, label: Sequence[int], over: AttrSet
+) -> StrippedPartition:
+    """Split every class of ``part`` by ``label[t]``.
+
+    Groups of one tuple and tuples labelled -1 are dropped.  Classes are
+    walked in tuple order, so every group comes out sorted.
+    """
+    out: list[tuple[int, ...]] = []
+    for cls in part.classes:
+        groups: dict[int, list[int]] = {}
+        for t in cls:
+            groups.setdefault(label[t], []).append(t)
+        groups.pop(-1, None)
+        out.extend([tuple(g) for g in groups.values() if len(g) >= 2])
+    out.sort(key=lambda c: c[0])
+    return StrippedPartition(over, tuple(out), sum(map(len, out)))
+
+
 def product(a: StrippedPartition, b: StrippedPartition) -> StrippedPartition:
     """Stripped partition over the union of attribute sets.
 
     Equals ``strip(partition(r, a.over | b.over))`` and runs in time linear
     in the covered tuple counts.
     """
-    class_of: dict[int, int] = {}
-    for index, cls in enumerate(a.classes):
+    # Probe table: the index of each tuple's class in ``b``, -1 if it has
+    # none.  Indexed by tuple id, a list stays cheaper per lookup than a
+    # dict as tables grow.
+    class_of = [-1] * (1 + max(map(max, a.classes + b.classes), default=-1))
+    for index, cls in enumerate(b.classes):
         for t in cls:
             class_of[t] = index
-    out: list[tuple[int, ...]] = []
-    for cls in b.classes:
-        buckets: dict[int, list[int]] = {}
-        for t in cls:
-            left = class_of.get(t)
-            if left is not None:
-                buckets.setdefault(left, []).append(t)
-        for group in buckets.values():
-            if len(group) >= 2:
-                out.append(tuple(group))
-    out.sort(key=lambda c: c[0])
-    return StrippedPartition(
-        attr_set(a.over + b.over), tuple(out), sum(len(c) for c in out)
-    )
+    return _split(a, class_of, attr_set(a.over + b.over))
+
+
+def refine(part: StrippedPartition, relation: Relation, a: int) -> StrippedPartition:
+    """Stripped partition over ``part.over`` plus attribute ``a``.
+
+    Equals ``product(part, strip(partition(relation, (a,))))``, but splits
+    each class of ``part`` by the column's dictionary codes, so it reads
+    only the tuples ``part`` covers.
+    """
+    return _split(part, relation.columns[a].codes, attr_set(part.over + (a,)))

@@ -6,14 +6,23 @@ sense (synonym mode) or one common ancestor within ``theta`` is-a edges of
 every value (inheritance mode).  The approximate variants compute, per class,
 the largest tuple subset consistent with a single sense or ancestor, which
 yields the support of the candidate over the whole table.
+
+Checks run on dictionary-encoded columns: a ``SenseTable`` gives every
+distinct cell string of a column an integer code and the set of its integer
+sense ids, so a class is decided from its codes and their multiplicities.
+``agreement`` is the one kernel behind both exact and approximate checks;
+discovery calls it directly and it stops as soon as the answer is known.
+The public ``verify*`` and ``support*`` functions scan every class and
+build the witnesses and majority splits.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Iterable, Sequence, Union
 
 from .ontology import ClassId, Ontology
-from .relation import AttrSet, Partition, Relation, StrippedPartition
+from .relation import AttrSet, EncodedColumn, Partition, Relation, StrippedPartition
 
 
 @dataclass(frozen=True)
@@ -88,9 +97,6 @@ class SupportOutcome:
     classes: tuple[ClassMajority, ...]
 
 
-SenseFn = Callable[[str], frozenset[ClassId]]
-
-
 def _check_attr(relation: Relation, part: AnyPartition, a: int) -> None:
     if not 0 <= a < len(relation.schema):
         raise ValueError(f"unknown attribute index {a}")
@@ -98,73 +104,147 @@ def _check_attr(relation: Relation, part: AnyPartition, a: int) -> None:
         raise ValueError("consequent attribute may not appear in the antecedent")
 
 
-def _verify(
-    relation: Relation,
-    part: AnyPartition,
-    a: int,
-    senses_of: SenseFn,
-    equal_fast_path: bool,
-) -> VerifyOutcome:
-    n = relation.n
-    rows = relation.rows
-    satisfied = 0
-    witnesses: list[ViolatingClass] = []
-    for cls in part.classes:
-        first = rows[cls[0]][a]
-        if equal_fast_path and all(rows[t][a] == first for t in cls):
-            satisfied += len(cls)
-            continue
-        distinct: list[str] = []
-        seen: set[str] = set()
-        for t in cls:
-            value = rows[t][a]
-            if value not in seen:
-                seen.add(value)
-                distinct.append(value)
-        counts: dict[ClassId, int] = {}
-        for value in distinct:
-            for sense in senses_of(value):
-                counts[sense] = counts.get(sense, 0) + 1
-        if counts and max(counts.values()) == len(distinct):
-            satisfied += len(cls)
+class SenseTable:
+    """Sense ids of one encoded column under one ontology and dependency kind.
+
+    ``codes`` and ``values`` are the column's encoding; ``senses[code]`` holds
+    the sense ids of ``values[code]`` (its names for synonym dependencies, its
+    ``theta`` ancestors for inheritance ones) and ``names[id]`` the class id.
+    Ids number the column's senses in sorted class-id order, so the smallest
+    id of a set is also its smallest class id.  It is a plain class because
+    creating a dataclass would add to the import time every CLI run pays.
+    """
+
+    def __init__(self, column: EncodedColumn, raw: Sequence[frozenset[ClassId]]):
+        self.codes = column.codes
+        self.values = column.values
+        self.names: tuple[ClassId, ...] = tuple(sorted(set().union(*raw)))
+        ids = {name: i for i, name in enumerate(self.names)}
+        self.senses = tuple(frozenset(ids[s] for s in r) for r in raw)
+
+
+def sense_table(relation: Relation, ontology: Ontology, a: int, kind: OfdKind) -> SenseTable:
+    """The sense table of column ``a``, built on first use and then cached."""
+    column = relation.columns[a]
+    by_kind = column.sense_tables.setdefault(ontology, {})
+    table = by_kind.get(kind)
+    if table is None:
+        if isinstance(kind, Synonym):
+            raw = [ontology.names(v) for v in column.values]
         else:
-            witnesses.append(ViolatingClass(cls[0], tuple(distinct)))
-    satisfied += n - part.covered_count
-    support = 1.0 if n == 0 else satisfied / n
-    return VerifyOutcome(not witnesses, support, tuple(witnesses))
+            raw = [ontology.theta_ancestors(v, kind.theta) for v in column.values]
+        table = by_kind[kind] = SenseTable(column, raw)
+    return table
 
 
-def _support(
-    relation: Relation,
-    part: AnyPartition,
-    a: int,
-    senses_of: SenseFn,
+def _majority(table: SenseTable, cls: Sequence[int]) -> tuple[int, int]:
+    """Most tuples of ``cls`` that carry one sense, and that sense's id.
+
+    Ties go to the smallest id, which is the smallest class id.
+    """
+    senses = table.senses
+    counts: dict[int, int] = {}
+    for code, multiplicity in Counter(map(table.codes.__getitem__, cls)).items():
+        for sense in senses[code]:
+            counts[sense] = counts.get(sense, 0) + multiplicity
+    best = max(counts.values())
+    return best, min(s for s, c in counts.items() if c == best)
+
+
+def agreement(
+    table: SenseTable,
+    classes: Iterable[Sequence[int]],
+    tau: float,
     equal_fast_path: bool,
-) -> SupportOutcome:
-    n = relation.n
-    rows = relation.rows
-    satisfied = 0
+) -> int | None:
+    """Tuples whose consequent value keeps a sense shared within its class.
+
+    A class whose distinct values share a sense keeps all of its tuples;
+    any other class keeps its majority-sense tuples and loses the rest.
+    Tuples outside ``classes`` always count.  Returns ``n - lost``, or None
+    as soon as ``(n - lost) / n`` drops below ``tau``: with ``tau`` 1 that is
+    the first class without a shared sense.  ``lost`` only grows and float
+    division is monotone, so stopping early never rejects a candidate whose
+    full support reaches ``tau``.
+    """
+    codes = table.codes.__getitem__
+    senses = table.senses.__getitem__
+    n = len(table.codes)
+    lost = 0
+    for cls in classes:
+        distinct = set(map(codes, cls))
+        if equal_fast_path and len(distinct) == 1:
+            continue
+        if frozenset.intersection(*map(senses, distinct)):
+            continue
+        if tau >= 1.0:
+            return None
+        lost += len(cls) - _majority(table, cls)[0]
+        if (n - lost) / n < tau:
+            return None
+    return n - lost
+
+
+def _verify(table: SenseTable, part: AnyPartition, equal_fast_path: bool) -> VerifyOutcome:
+    codes = table.codes.__getitem__
+    failing = [
+        cls for cls in part.classes
+        if agreement(table, (cls,), 1.0, equal_fast_path) is None
+    ]
+    witnesses = tuple(
+        ViolatingClass(cls[0], tuple(table.values[c] for c in dict.fromkeys(map(codes, cls))))
+        for cls in failing
+    )
+    n = len(table.codes)
+    support = 1.0 if n == 0 else (n - sum(map(len, failing))) / n
+    return VerifyOutcome(not witnesses, support, witnesses)
+
+
+def _support(table: SenseTable, part: AnyPartition) -> SupportOutcome:
+    codes, senses = table.codes, table.senses
+    n = len(codes)
+    satisfied = n - part.covered_count
     majorities: list[ClassMajority] = []
     for cls in part.classes:
-        first = rows[cls[0]][a]
-        if equal_fast_path and all(rows[t][a] == first for t in cls):
-            sense = min(senses_of(first))
-            satisfied += len(cls)
-            majorities.append(ClassMajority(cls[0], sense, tuple(cls), ()))
-            continue
-        counts: dict[ClassId, int] = {}
-        for t in cls:
-            for sense in senses_of(rows[t][a]):
-                counts[sense] = counts.get(sense, 0) + 1
-        best = max(counts.values())
-        best_sense = min(s for s, c in counts.items() if c == best)
-        members = tuple(t for t in cls if best_sense in senses_of(rows[t][a]))
-        others = tuple(t for t in cls if best_sense not in senses_of(rows[t][a]))
+        best, sense = _majority(table, cls)
+        members = tuple(t for t in cls if sense in senses[codes[t]])
+        others = tuple(t for t in cls if sense not in senses[codes[t]])
         satisfied += best
-        majorities.append(ClassMajority(cls[0], best_sense, members, others))
-    satisfied += n - part.covered_count
+        majorities.append(ClassMajority(cls[0], table.names[sense], members, others))
     support = 1.0 if n == 0 else satisfied / n
     return SupportOutcome(support, satisfied, tuple(majorities))
+
+
+def verify(
+    relation: Relation,
+    ontology: Ontology,
+    part: AnyPartition,
+    a: int,
+    kind: OfdKind,
+    *,
+    equal_fast_path: bool = True,
+) -> VerifyOutcome:
+    """Exact check of ``part -> a``, with every violating class as a witness."""
+    _check_attr(relation, part, a)
+    return _verify(sense_table(relation, ontology, a, kind), part, equal_fast_path)
+
+
+def support(
+    relation: Relation,
+    ontology: Ontology,
+    part: AnyPartition,
+    a: int,
+    kind: OfdKind,
+    *,
+    equal_fast_path: bool = True,
+) -> SupportOutcome:
+    """Support of ``part -> a`` with the majority split of every class.
+
+    ``equal_fast_path`` is accepted for symmetry with ``verify``; the split
+    is the same either way.
+    """
+    _check_attr(relation, part, a)
+    return _support(sense_table(relation, ontology, a, kind), part)
 
 
 def verify_synonym(
@@ -176,8 +256,7 @@ def verify_synonym(
     equal_fast_path: bool = True,
 ) -> VerifyOutcome:
     """Exact synonym check: every class's distinct values share a sense."""
-    _check_attr(relation, part, a)
-    return _verify(relation, part, a, ontology.names, equal_fast_path)
+    return verify(relation, ontology, part, a, Synonym(), equal_fast_path=equal_fast_path)
 
 
 def verify_inheritance(
@@ -190,11 +269,8 @@ def verify_inheritance(
     equal_fast_path: bool = True,
 ) -> VerifyOutcome:
     """Exact inheritance check: a common ancestor within ``theta`` per class."""
-    _check_attr(relation, part, a)
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    return _verify(
-        relation, part, a, lambda v: ontology.theta_ancestors(v, theta), equal_fast_path
+    return verify(
+        relation, ontology, part, a, Inheritance(theta), equal_fast_path=equal_fast_path
     )
 
 
@@ -207,8 +283,7 @@ def support_synonym(
     equal_fast_path: bool = True,
 ) -> SupportOutcome:
     """Support of the synonym candidate: per-class majority-sense tuple counts."""
-    _check_attr(relation, part, a)
-    return _support(relation, part, a, ontology.names, equal_fast_path)
+    return support(relation, ontology, part, a, Synonym(), equal_fast_path=equal_fast_path)
 
 
 def support_inheritance(
@@ -221,43 +296,6 @@ def support_inheritance(
     equal_fast_path: bool = True,
 ) -> SupportOutcome:
     """Support of the inheritance candidate at the given ``theta``."""
-    _check_attr(relation, part, a)
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    return _support(
-        relation, part, a, lambda v: ontology.theta_ancestors(v, theta), equal_fast_path
-    )
-
-
-def verify(
-    relation: Relation,
-    ontology: Ontology,
-    part: AnyPartition,
-    a: int,
-    kind: OfdKind,
-    *,
-    equal_fast_path: bool = True,
-) -> VerifyOutcome:
-    """Exact check dispatched on the dependency kind."""
-    if isinstance(kind, Synonym):
-        return verify_synonym(relation, ontology, part, a, equal_fast_path=equal_fast_path)
-    return verify_inheritance(
-        relation, ontology, part, a, kind.theta, equal_fast_path=equal_fast_path
-    )
-
-
-def support(
-    relation: Relation,
-    ontology: Ontology,
-    part: AnyPartition,
-    a: int,
-    kind: OfdKind,
-    *,
-    equal_fast_path: bool = True,
-) -> SupportOutcome:
-    """Support computation dispatched on the dependency kind."""
-    if isinstance(kind, Synonym):
-        return support_synonym(relation, ontology, part, a, equal_fast_path=equal_fast_path)
-    return support_inheritance(
-        relation, ontology, part, a, kind.theta, equal_fast_path=equal_fast_path
+    return support(
+        relation, ontology, part, a, Inheritance(theta), equal_fast_path=equal_fast_path
     )

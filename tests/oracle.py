@@ -5,15 +5,29 @@ naive grouping, class checks by literal set intersection, discovery by
 enumerating and minimizing every candidate, support by exhaustive subset
 search, and closure by saturating the three inference rules over all
 subsets of the queried attribute set.  None of it shares code paths with
-the library beyond the ontology's basic lookups.
+the library beyond the ontology's basic lookups.  ``reference_verify``,
+``reference_support`` and ``reference_inject_errors`` keep the string-based
+algorithms the library used before it encoded columns, as the outcomes the
+encoded versions must reproduce exactly.
 """
 from __future__ import annotations
 
+import math
+import random
 from itertools import combinations
 
+from ontofd.cli import CellChange
 from ontofd.ontology import Ontology
-from ontofd.relation import Relation
-from ontofd.verify import Inheritance, OfdKind, Synonym
+from ontofd.relation import Partition, Relation, relation_from_rows
+from ontofd.verify import (
+    ClassMajority,
+    Inheritance,
+    OfdKind,
+    SupportOutcome,
+    Synonym,
+    VerifyOutcome,
+    ViolatingClass,
+)
 
 
 def naive_partition(rows, attrs):
@@ -77,6 +91,29 @@ def brute_discover(relation: Relation, ontology: Ontology, kind: OfdKind,
     return minimal
 
 
+def brute_discover_approx(relation: Relation, ontology: Ontology, kind: OfdKind,
+                          tau: float):
+    """Every candidate with support >= tau and an inclusion-minimal
+    antecedent, mapped to its support.
+
+    Supports come from ``reference_support`` over naive grouping.
+    """
+    n_attrs = len(relation.schema)
+    valid = {}
+    for size in range(1, n_attrs):
+        for lhs in combinations(range(n_attrs), size):
+            part = Partition(lhs, tuple(tuple(c) for c in naive_partition(relation.rows, lhs)))
+            for rhs in range(n_attrs):
+                if rhs not in lhs:
+                    sup = reference_support(relation, ontology, part, rhs, kind).support
+                    if sup >= tau:
+                        valid[(frozenset(lhs), rhs)] = sup
+    return {
+        (lhs, rhs): sup for (lhs, rhs), sup in valid.items()
+        if not any((lhs - {b}, rhs) in valid for b in lhs)
+    }
+
+
 def subset_satisfies(relation: Relation, ontology: Ontology, tuple_ids, lhs, rhs,
                      kind: OfdKind) -> bool:
     rows = relation.rows
@@ -137,3 +174,95 @@ def saturation_closure(deps, x, n_attrs):
                     derivable[union] |= merged
                     changed = True
     return frozenset(derivable[x])
+
+
+def brute_minimal_keys(relation: Relation):
+    """Inclusion-minimal non-empty attribute sets on which no two rows agree."""
+    n_attrs = len(relation.schema)
+    superkeys = [
+        attrs
+        for size in range(1, n_attrs + 1)
+        for attrs in combinations(range(n_attrs), size)
+        if all(len(c) == 1 for c in naive_partition(relation.rows, attrs))
+    ]
+    return [k for k in superkeys if not any(set(o) < set(k) for o in superkeys)]
+
+
+def reference_verify(relation, ontology, part, a, kind, equal_fast_path=True):
+    """Exact check over cell strings: the distinct values of each class must
+    share a sense; every class that fails is a witness."""
+    rows = relation.rows
+    satisfied = relation.n - part.covered_count
+    witnesses = []
+    for cls in part.classes:
+        first = rows[cls[0]][a]
+        if equal_fast_path and all(rows[t][a] == first for t in cls):
+            satisfied += len(cls)
+            continue
+        distinct = list(dict.fromkeys(rows[t][a] for t in cls))
+        counts = {}
+        for value in distinct:
+            for sense in senses_of(ontology, value, kind):
+                counts[sense] = counts.get(sense, 0) + 1
+        if counts and max(counts.values()) == len(distinct):
+            satisfied += len(cls)
+        else:
+            witnesses.append(ViolatingClass(cls[0], tuple(distinct)))
+    support = 1.0 if relation.n == 0 else satisfied / relation.n
+    return VerifyOutcome(not witnesses, support, tuple(witnesses))
+
+
+def reference_support(relation, ontology, part, a, kind, equal_fast_path=True):
+    """Support over cell strings: each class keeps the tuples of its most
+    common sense, ties broken by the smallest class id."""
+    rows = relation.rows
+    satisfied = relation.n - part.covered_count
+    majorities = []
+    for cls in part.classes:
+        first = rows[cls[0]][a]
+        if equal_fast_path and all(rows[t][a] == first for t in cls):
+            sense = min(senses_of(ontology, first, kind))
+            satisfied += len(cls)
+            majorities.append(ClassMajority(cls[0], sense, tuple(cls), ()))
+            continue
+        counts = {}
+        for t in cls:
+            for sense in senses_of(ontology, rows[t][a], kind):
+                counts[sense] = counts.get(sense, 0) + 1
+        best = max(counts.values())
+        best_sense = min(s for s, c in counts.items() if c == best)
+        members = tuple(t for t in cls if best_sense in senses_of(ontology, rows[t][a], kind))
+        others = tuple(t for t in cls if best_sense not in senses_of(ontology, rows[t][a], kind))
+        satisfied += best
+        majorities.append(ClassMajority(cls[0], best_sense, members, others))
+    support = 1.0 if relation.n == 0 else satisfied / relation.n
+    return SupportOutcome(support, satisfied, tuple(majorities))
+
+
+def reference_inject_errors(relation, rate, seed, *, columns=None, ontology=None):
+    """Error injection that rescans the column for every chosen cell."""
+    n = relation.n
+    count = math.ceil(rate * n)
+    if count == 0:
+        return relation, []
+    rng = random.Random(seed)
+    target_columns = list(columns) if columns is not None else list(range(len(relation.schema)))
+    cells = [(row, col) for col in target_columns for row in range(n)]
+    chosen = rng.sample(cells, min(count, len(cells)))
+    rows = [list(row) for row in relation.rows]
+    log = []
+    for row, col in sorted(chosen):
+        old = rows[row][col]
+        pool = sorted({relation.rows[r][col] for r in range(n) if r != row})
+        if not pool:
+            continue
+        if ontology is not None:
+            old_senses = ontology.names(old)
+            breaking = [v for v in pool if not (ontology.names(v) & old_senses)]
+        else:
+            breaking = []
+        pool = breaking or [v for v in pool if v != old] or pool
+        new = rng.choice(pool)
+        rows[row][col] = new
+        log.append(CellChange(row, col, old, new))
+    return relation_from_rows(relation.schema, rows), log

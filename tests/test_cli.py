@@ -20,6 +20,8 @@ from ontofd.relation import load_relation, relation_from_rows
 from ontofd.verify import Inheritance, Ofd, Synonym
 
 from conftest import DATA
+from gen import random_instance
+from oracle import reference_inject_errors
 
 CLINICAL = str(DATA / "clinical.csv")
 ONTOLOGY = str(DATA / "clinical_ontology.json")
@@ -148,6 +150,23 @@ def test_inject_errors_prefers_sense_breaking():
         assert not (ontology.names(change.old) & ontology.names(change.new))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_inject_errors_matches_rescanning_reference(seed):
+    relation, ontology = random_instance(seed + 7000, max_rows=40)
+    # unique, repeated and constant columns: the pool drops a cell's own
+    # value only when no other row holds it
+    unique = relation_from_rows(
+        ["id", "v", "c"], [(str(i), "x" if i % 3 else "y", "z") for i in range(30)]
+    )
+    single = relation_from_rows(["a"], [("only",)])
+    for table in (relation, unique, single):
+        for rate in (0.05, 0.2, 0.5, 0.9):
+            for kwargs in ({}, {"ontology": ontology}, {"columns": [0], "ontology": ontology}):
+                got_table, got_log = inject_errors(table, rate, seed, **kwargs)
+                want_table, want_log = reference_inject_errors(table, rate, seed, **kwargs)
+                assert got_table.rows == want_table.rows and got_log == want_log
+
+
 def test_violation_report_suggests_majority_value():
     ontology = load_ontology(ONTOLOGY)
     relation = relation_from_rows(
@@ -207,3 +226,17 @@ def test_stdout_output(capsys):
     assert code == 0
     records = json.loads(capsys.readouterr().out)
     assert isinstance(records, list) and records
+
+
+@pytest.mark.parametrize("target", ["input", "ontology"])
+def test_invalid_utf8_exits_2_with_one_line(tmp_path, capsys, target):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"A,B\n\xff\xfe,x\n" if target == "input" else b'{"classes": ["\xff"]}')
+    paths = {"input": CLINICAL, "ontology": ONTOLOGY, target: str(bad)}
+    out = tmp_path / "never.json"
+    code = main([
+        "--input", paths["input"], "--ontology", paths["ontology"], "--output", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontofd.lattice import (
     DiscoveryConfig,
@@ -19,7 +20,7 @@ from ontofd.verify import Inheritance, Synonym
 
 from conftest import CC, CTRY, DIAG, ID, MED, SYMP
 from gen import random_instance
-from oracle import brute_discover
+from oracle import brute_discover, brute_discover_approx, brute_minimal_keys
 
 # Frozen from the enumerate-and-minimize oracle over the clinical sample.
 CLINICAL_SYNONYM = {
@@ -262,3 +263,29 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
     node3 = next(n for n in level3 if n.attrs == (CC, CTRY, SYMP))
     assert CTRY not in node3.candidates
     assert not any(o.rhs == CTRY for o in acc.ofds[tested_before:] if CC in o.lhs)
+
+
+def test_keys_found_are_brute_force_minimal_keys():
+    for seed in range(40):
+        relation, ontology = random_instance(seed + 6000, max_attrs=6, max_rows=12)
+        want = sorted(brute_minimal_keys(relation), key=lambda k: (len(k), k))
+        for stripped_flag in (True, False):
+            cfg = DiscoveryConfig(kind=Synonym(), stripped=stripped_flag)
+            assert discover(relation, ontology, cfg).keys_found == want, seed
+        cap = 1 + seed % 3
+        capped = discover(relation, ontology, DiscoveryConfig(kind=Synonym(), max_level=cap))
+        assert capped.keys_found == [k for k in want if len(k) <= cap + 1], seed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(0, 4), st.data())
+def test_approximate_discovery_at_thresholds_k_over_n(seed, theta_or_syn, data):
+    # the lattice's early abort must agree with full supports exactly at
+    # every reachable support value k / n
+    relation, ontology = random_instance(seed, max_attrs=4, max_rows=10)
+    kind = Synonym() if theta_or_syn == 4 else Inheritance(theta_or_syn)
+    k = data.draw(st.integers(1, relation.n))
+    tau = k / relation.n
+    got = discover(relation, ontology, DiscoveryConfig(kind=kind, tau=tau))
+    want = brute_discover_approx(relation, ontology, kind, tau)
+    assert {(frozenset(o.lhs), o.rhs): o.support for o in got.ofds} == want

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import pickle
 import random
 import time
 
@@ -13,9 +14,11 @@ from ontofd.relation import (
     load_relation,
     partition,
     product,
+    refine,
     relation_from_rows,
     strip,
 )
+from ontofd.verify import support_synonym
 
 from conftest import CC, CTRY, DIAG, SYMP
 from gen import random_relation
@@ -39,6 +42,8 @@ def test_load_errors():
         load_relation(io.StringIO(""))
     with pytest.raises(RelationError, match="duplicate attribute"):
         load_relation(io.StringIO("a,a\n1,2\n"))
+    with pytest.raises(RelationError, match="not valid UTF-8"):
+        load_relation(io.TextIOWrapper(io.BytesIO(b"a,b\n\xff,2\n"), encoding="utf-8"))
 
 
 def test_load_without_header_and_delimiter():
@@ -117,6 +122,8 @@ def test_product_equals_direct_partition_on_random_tables():
         got = product(strip(partition(r, x)), strip(partition(r, y)))
         want = strip(partition(r, attr_set(x + y)))
         assert got == want
+        a = rng.randrange(n_attrs)
+        assert refine(strip(partition(r, x)), r, a) == strip(partition(r, attr_set(x + (a,))))
 
 
 def test_partition_matches_naive_grouping():
@@ -159,6 +166,13 @@ def test_product_scales_roughly_linearly():
 
     timed(2000)  # warmup
     assert timed(80_000) <= 6 * timed(40_000)
+
+
+def test_relation_pickles_after_encoding(clinical, clinical_ontology):
+    relation = relation_from_rows(clinical.schema, clinical.rows)
+    support_synonym(relation, clinical_ontology, strip(partition(relation, (CC,))), CTRY)
+    copy = pickle.loads(pickle.dumps(relation))
+    assert copy == relation and copy.columns[CTRY].codes == relation.columns[CTRY].codes
 
 
 def test_ragged_rows_rejected_by_constructor():

@@ -5,6 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontofd.ontology import Ontology, OntologyClass
 from ontofd.relation import attr_set, partition, relation_from_rows, strip
@@ -12,15 +13,19 @@ from ontofd.verify import (
     Inheritance,
     Ofd,
     Synonym,
+    agreement,
+    sense_table,
+    support,
     support_inheritance,
     support_synonym,
+    verify,
     verify_inheritance,
     verify_synonym,
 )
 
 from conftest import CC, CTRY, DIAG, MED, SYMP
 from gen import fd_instance, random_instance
-from oracle import exhaustive_support, ofd_holds
+from oracle import exhaustive_support, ofd_holds, reference_support, reference_verify
 
 
 def stripped(relation, attrs):
@@ -240,3 +245,46 @@ def test_fast_path_flag_changes_nothing():
                 f = support_synonym(relation, ontology, part, rhs)
                 s = support_synonym(relation, ontology, part, rhs, equal_fast_path=False)
                 assert (f.support, f.classes) == (s.support, s.classes)
+
+
+# Surface strings: "zz" is in no synonym set, and the others may land in
+# several classes (polysemy).  Class ids are drawn in an order unrelated to
+# their string order, so the smallest-id tie-break is exercised.
+SURFACE = ["a", "b", "c", "d", "zz"]
+
+
+@st.composite
+def checked_candidates(draw):
+    ids = draw(st.permutations(["m", "b", "x", "a", "q"]))[: draw(st.integers(1, 5))]
+    classes = [
+        OntologyClass(
+            class_id,
+            frozenset(draw(st.sets(st.sampled_from(SURFACE[:-1]), min_size=1, max_size=3))),
+            frozenset(draw(st.sets(st.sampled_from(ids[:i]), max_size=2))) if i else frozenset(),
+        )
+        for i, class_id in enumerate(ids)
+    ]
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(["k1", "k2", "k3"]), st.sampled_from(SURFACE)), max_size=12
+    ))
+    relation = relation_from_rows(["k", "v"], rows)
+    full = partition(relation, draw(st.sampled_from([(0,), ()])))
+    part = strip(full) if draw(st.booleans()) else full
+    kind = draw(st.sampled_from([Synonym()] + [Inheritance(theta) for theta in range(4)]))
+    return relation, Ontology(classes), part, kind, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(checked_candidates())
+def test_encoded_checks_equal_string_reference(candidate):
+    relation, ontology, part, kind, fast = candidate
+    args = (relation, ontology, part, 1, kind)
+    assert verify(*args, equal_fast_path=fast) == reference_verify(*args, fast)
+    want = reference_support(*args, fast)
+    assert support(*args, equal_fast_path=fast) == want
+    # the kernel at every threshold k / n, where the early abort is tightest
+    n = relation.n
+    table = sense_table(relation, ontology, 1, kind)
+    for k in range(1, n + 1):
+        got = agreement(table, part.classes, k / n, fast)
+        assert got == (want.satisfied if want.support >= k / n else None)
