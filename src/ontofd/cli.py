@@ -10,7 +10,6 @@ import json
 import math
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -107,6 +106,45 @@ class ViolationReport:
     entries: tuple[OfdViolationEntry, ...]
 
 
+class _Omitting:
+    """``values`` without the entries at the sorted positions ``gaps``.
+
+    ``random.choice`` draws from it exactly as from the equivalent list,
+    which is never built.
+    """
+
+    def __init__(self, values: Sequence[str], gaps: Sequence[int]):
+        self.values = values
+        self.gaps = gaps
+
+    def __len__(self) -> int:
+        return len(self.values) - len(self.gaps)
+
+    def __getitem__(self, index: int) -> str:
+        for gap in self.gaps:
+            if gap > index:
+                break
+            index += 1
+        return self.values[index]
+
+
+class _SharedSenses:
+    """Which of a column's sorted distinct values share a sense, with each
+    value's senses looked up once."""
+
+    def __init__(self, ontology: Ontology, values: Sequence[str]):
+        self.senses = [ontology.names(v) for v in values]
+        self.holders: dict[str, list[int]] = {}
+        for i, senses in enumerate(self.senses):
+            for sense in senses:
+                self.holders.setdefault(sense, []).append(i)
+
+    def positions(self, at: int) -> list[int]:
+        """Sorted positions of the values sharing a sense with value ``at``,
+        ``at`` included: every value has at least one sense."""
+        return sorted({i for sense in self.senses[at] for i in self.holders[sense]})
+
+
 def inject_errors(
     relation: Relation,
     rate: float,
@@ -134,25 +172,30 @@ def inject_errors(
     cells = [(row, col) for col in target_columns for row in range(n)]
     chosen = rng.sample(cells, min(count, len(cells)))
     rows = [list(row) for row in relation.rows]
-    # Per column: how often each value occurs, and the sorted distinct values.
-    counts = {col: Counter(row[col] for row in relation.rows) for col in set(target_columns)}
-    values = {col: sorted(col_counts) for col, col_counts in counts.items()}
+    # Per column: the sorted distinct values, and the position of each.
+    values = {col: sorted({row[col] for row in relation.rows}) for col in set(target_columns)}
+    position = {col: {v: i for i, v in enumerate(vals)} for col, vals in values.items()}
+    sharing: dict[int, _SharedSenses] = {}
     log: list[CellChange] = []
     for row, col in sorted(chosen):
-        old = rows[row][col]
-        # The values of the other rows: the column's own, less ``old`` if
-        # this row holds its only copy.
-        pool = values[col]
-        if counts[col][old] == 1:
-            pool = [v for v in pool if v != old]
-        if not pool:
+        if n == 1:
+            # No other row holds a value to draw.
             continue
+        old = rows[row][col]
+        vals = values[col]
+        at = position[col][old]
+        # Draw from the values that share no sense with ``old``, else from
+        # any value but ``old``, else ``old`` itself, which then fills the
+        # other rows too.
+        pool: Sequence[str] = vals
+        if len(vals) > 1:
+            pool = _Omitting(vals, [at])
         if ontology is not None:
-            old_senses = ontology.names(old)
-            breaking = [v for v in pool if not (ontology.names(v) & old_senses)]
-        else:
-            breaking = []
-        pool = breaking or [v for v in pool if v != old] or pool
+            if col not in sharing:
+                sharing[col] = _SharedSenses(ontology, vals)
+            breaking = _Omitting(vals, sharing[col].positions(at))
+            if len(breaking):
+                pool = breaking
         new = rng.choice(pool)
         rows[row][col] = new
         log.append(CellChange(row, col, old, new))
@@ -273,6 +316,10 @@ def _write(path: str | None, text: str) -> None:
 
 def run(cfg: RunConfig) -> int:
     """Load inputs, run discovery, and write the requested artifacts."""
+    for path in (cfg.output_path, cfg.stats_path):
+        if path is not None and not Path(path).parent.is_dir():
+            print(f"error: directory of {path!r} does not exist", file=sys.stderr)
+            return 2
     try:
         relation = load_relation(cfg.input_path)
         ontology = load_ontology(cfg.ontology_path)
@@ -312,12 +359,31 @@ def run(cfg: RunConfig) -> int:
                 {
                     "kind": kind_label(kind),
                     "level": stats.level,
+                    "nodes": stats.nodes,
+                    "pruned": stats.pruned,
                     "candidates": stats.candidates,
                     "ofds": stats.ofds,
                     "seconds": stats.seconds,
                 }
             )
 
+    try:
+        _write_artifacts(cfg, relation, ontology, all_ofds, stats_rows, inject_log)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _write_artifacts(
+    cfg: RunConfig,
+    relation: Relation,
+    ontology: Ontology,
+    all_ofds: list[Ofd],
+    stats_rows: list[dict],
+    inject_log: list[CellChange],
+) -> None:
+    """Write the output, stats, injection log and violation report."""
     records = ofds_to_records(all_ofds, relation.schema)
     if cfg.report_format == "json":
         _write(cfg.output_path, json.dumps(records, indent=2) + "\n")
@@ -325,31 +391,22 @@ def run(cfg: RunConfig) -> int:
         _write(cfg.output_path, _format_text(records))
 
     if cfg.stats_path is not None:
-        Path(cfg.stats_path).write_text(
-            json.dumps(stats_rows, indent=2) + "\n", encoding="utf-8"
-        )
+        _write(cfg.stats_path, json.dumps(stats_rows, indent=2) + "\n")
 
     if cfg.inject_rate is not None and cfg.output_path is not None:
         log_records = [
             {"row": c.row, "column": relation.schema[c.column], "old": c.old, "new": c.new}
             for c in inject_log
         ]
-        Path(cfg.output_path + ".inject-log.json").write_text(
-            json.dumps(log_records, indent=2) + "\n", encoding="utf-8"
-        )
+        _write(cfg.output_path + ".inject-log.json", json.dumps(log_records, indent=2) + "\n")
 
     if cfg.report_violations:
         report = report_violations(relation, ontology, all_ofds)
         report_json = json.dumps(
             violation_report_to_records(report, relation.schema), indent=2
         ) + "\n"
-        if cfg.output_path is not None:
-            Path(cfg.output_path + ".violations.json").write_text(
-                report_json, encoding="utf-8"
-            )
-        else:
-            sys.stdout.write(report_json)
-    return 0
+        violations_path = None if cfg.output_path is None else cfg.output_path + ".violations.json"
+        _write(violations_path, report_json)
 
 
 class _Parser(argparse.ArgumentParser):

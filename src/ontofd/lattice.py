@@ -9,13 +9,19 @@ hold, which silently prunes every non-minimal superset candidate downstream.
 Verification of ``(X \\ A) -> A`` uses the parent node's partition, built
 once per node by refining a parent's partition by the node's last attribute.
 
+With both candidate-set pruning and superkey shortcutting on, a node that is
+a superkey, has a superkey parent, and keeps none of its own attributes in
+``C+`` is dead: no superset yields a minimal dependency or a minimal key, so
+a node is generated only when every one of its subsets one level down is
+alive (see ``compute_ofds``).
+
 Reported levels count antecedent attributes: level 1 covers single-attribute
 antecedents, and ``max_level`` caps the antecedent size.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
@@ -63,10 +69,18 @@ class DiscoveryConfig:
 
 @dataclass(frozen=True)
 class LevelStats:
+    """Work at one antecedent level.
+
+    ``nodes`` counts the lattice nodes materialised at the level (attribute
+    sets of size ``level + 1``) and ``pruned`` those of them found dead.
+    """
+
     level: int
     candidates: int
     ofds: int
     seconds: float
+    nodes: int
+    pruned: int
 
 
 @dataclass
@@ -76,6 +90,7 @@ class LatticeNode:
     attrs: AttrSet
     part: NodePartition
     candidates: set[int] = field(default_factory=set)
+    dead: bool = False
 
     @property
     def is_superkey(self) -> bool:
@@ -112,21 +127,31 @@ def _node_partition(relation: Relation, attrs: AttrSet, cfg: DiscoveryConfig) ->
 def calculate_next_level(
     current: Sequence[LatticeNode], relation: Relation, cfg: DiscoveryConfig
 ) -> list[LatticeNode]:
-    """Join pairs of same-level nodes that share all but their last attribute.
+    """Join pairs of live same-level nodes that share all but their last
+    attribute, keeping a join only when all of its subsets are live.
 
     A joined node's stripped partition refines the left node's partition by
-    the right node's last attribute.
+    the right node's last attribute; a superkey's partition already is the
+    identity, so its children take it over unchanged.
     """
+    live = {node.attrs for node in current if not node.dead}
     blocks: dict[AttrSet, list[LatticeNode]] = {}
     for node in current:
-        blocks.setdefault(node.attrs[:-1], []).append(node)
+        if not node.dead:
+            blocks.setdefault(node.attrs[:-1], []).append(node)
     next_nodes: list[LatticeNode] = []
     for block in blocks.values():
         block.sort(key=lambda n: n.attrs)
         for left, right in combinations(block, 2):
             attrs = left.attrs + right.attrs[-1:]
-            if cfg.stripped:
-                part: NodePartition = refine(left.part, relation, attrs[-1])
+            # The two joined nodes are the subsets without one of the last
+            # two attributes; the others must be looked up.
+            if any(attrs[:i] + attrs[i + 1:] not in live for i in range(len(attrs) - 2)):
+                continue
+            if left.is_superkey:
+                part: NodePartition = replace(left.part, over=attrs)
+            elif cfg.stripped:
+                part = refine(left.part, relation, attrs[-1])
             else:
                 part = partition(relation, attrs)
             next_nodes.append(LatticeNode(attrs, part))
@@ -175,6 +200,7 @@ class _Accumulator:
     valid_by_rhs: dict[int, list[frozenset[int]]] = field(default_factory=dict)
     candidates_tested: int = 0
     emitted: int = 0
+    pruned: int = 0
 
 
 def compute_ofds(
@@ -185,23 +211,29 @@ def compute_ofds(
     cfg: DiscoveryConfig,
     acc: _Accumulator,
 ) -> list[Ofd]:
-    """Test the candidates of one level, prune the candidate sets, and
-    record the level's minimal keys.
+    """Test the candidates of one level, prune the candidate sets, record the
+    level's minimal keys, and mark the level's dead nodes.
 
     Being a superkey carries over to supersets, so a superkey node is a
     minimal key exactly when none of its parents is a superkey; every parent
-    is in ``parents`` because each level holds all attribute sets of its
-    size.
+    is in ``parents`` because a node is only generated from live subsets.
+
+    With ``opt2`` and ``opt3`` on, a non-minimal superkey ``X`` (some parent
+    ``X \\ B`` is a superkey) whose ``C+`` holds none of ``X`` is dead.  For
+    any ``Z`` above ``X`` and ``A`` in ``Z``: if ``A`` is in ``X``, it is not
+    in ``C+(Z)``, a subset of ``C+(X)``; otherwise ``Z \\ A`` contains the
+    superkey ``X \\ B``, which determines ``A`` with support 1, so
+    ``Z \\ A -> A`` is not minimal.  ``Z`` is no minimal key either.  TANE's
+    stronger rules (dropping ``R \\ X`` from ``C+`` and deleting keys) are
+    not used: they assume ``X \\ B -> B`` makes ``X \\ B`` and ``X`` group
+    tuples alike, which sense agreement does not.
     """
     n = relation.n
     tables = [sense_table(relation, ontology, a, cfg.kind) for a in range(len(relation.schema))]
+    prune = cfg.opt2 and cfg.opt3
     emitted: list[Ofd] = []
     for node in level:
         plan = apply_optimizations(node, parents, cfg)
-        if node.is_superkey and not any(
-            parents[lhs].is_superkey for lhs in plan.lhs_of.values()
-        ):
-            acc.keys_found.append(node.attrs)
         for a in plan.test:
             lhs = plan.lhs_of[a]
             acc.candidates_tested += 1
@@ -225,6 +257,12 @@ def compute_ofds(
                 acc.valid_by_rhs.setdefault(a, []).append(lhs_set)
                 if minimal:
                     emitted.append(Ofd(lhs, a, cfg.kind, sup))
+        if node.is_superkey:
+            if not any(parents[lhs].is_superkey for lhs in plan.lhs_of.values()):
+                acc.keys_found.append(node.attrs)
+            elif prune and node.candidates.isdisjoint(node.attrs):
+                node.dead = True
+                acc.pruned += 1
     acc.ofds.extend(emitted)
     acc.emitted += len(emitted)
     return emitted
@@ -264,6 +302,7 @@ def discover(
             started = time.perf_counter()
             acc.candidates_tested = 0
             acc.emitted = 0
+            acc.pruned = 0
             compute_ofds(level, parents, relation, ontology, cfg, acc)
             per_level.append(
                 LevelStats(
@@ -271,6 +310,8 @@ def discover(
                     acc.candidates_tested,
                     acc.emitted,
                     time.perf_counter() - started,
+                    len(level),
+                    acc.pruned,
                 )
             )
         if cfg.max_level is not None and node_size > cfg.max_level:

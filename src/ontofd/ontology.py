@@ -16,8 +16,8 @@ from typing import IO, Iterable, Mapping
 
 ClassId = str
 
-# Prefix for implicit (out-of-vocabulary) class ids.  Real class ids come from
-# user documents and will not normally contain a NUL byte.
+# Prefix for implicit (out-of-vocabulary) class ids; class ids of an
+# ontology may not start with it.
 _IMPLICIT = "\x00"
 
 
@@ -60,6 +60,10 @@ class Ontology:
         for cls in classes:
             if cls.id in self._classes:
                 raise OntologyError(f"duplicate class id {cls.id!r}")
+            if is_implicit(cls.id):
+                raise OntologyError(
+                    f"class id {cls.id!r} starts with NUL, which is reserved"
+                )
             if not cls.synonyms:
                 raise OntologyError(f"class {cls.id!r} has an empty synonym list")
             if cls.id in cls.parents:
@@ -186,8 +190,9 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
     """Load an ontology from a JSON document.
 
     Expected shape: ``{"classes": [{"id": ..., "synonyms": [...],
-    "parents": [...]}, ...]}`` with ``parents`` optional.  Synonym strings are
-    trimmed of surrounding whitespace.  Bytes that are not UTF-8 raise
+    "parents": [...]}, ...]}`` with ``parents`` optional; ``synonyms`` and
+    ``parents`` must be lists.  Synonym strings are trimmed of surrounding
+    whitespace.  Bytes that are not UTF-8 raise
     ``OntologyError``.
     """
     try:
@@ -205,6 +210,9 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
         if not isinstance(entry, dict) or "id" not in entry:
             raise OntologyError("each class entry must be an object with an 'id'")
         class_id = str(entry["id"])
+        for key in ("synonyms", "parents"):
+            if not isinstance(entry.get(key, []), list):
+                raise OntologyError(f"class {class_id!r}: {key!r} must be a list")
         synonyms = frozenset(str(s).strip() for s in entry.get("synonyms", []))
         parents = frozenset(str(p) for p in entry.get("parents", []))
         classes.append(OntologyClass(id=class_id, synonyms=synonyms, parents=parents))

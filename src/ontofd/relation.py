@@ -131,8 +131,9 @@ def load_relation(
     """Load a delimited UTF-8 text file (RFC-4180-style quoting).
 
     With ``header`` the first row becomes the schema; otherwise attribute
-    names ``A1..An`` are synthesized from the first data row's width.
-    Bytes that are not UTF-8 raise ``RelationError``.
+    names ``A1..An`` are synthesized from the first data row's width.  A
+    byte-order mark at the start of the input is dropped.  Bytes that are not
+    UTF-8 raise ``RelationError``.
     """
     try:
         if isinstance(source, (str, Path)):
@@ -147,6 +148,8 @@ def _parse_rows(reader: Iterable[list[str]], header: bool) -> Relation:
     rows = [tuple(row) for row in reader]
     if not rows:
         raise RelationError("empty input")
+    if rows[0] and rows[0][0].startswith("\ufeff"):
+        rows[0] = (rows[0][0][1:],) + rows[0][1:]
     if header:
         schema, data = rows[0], rows[1:]
     else:

@@ -16,7 +16,7 @@ from ontofd.cli import inject_errors, main, report_violations
 from ontofd.inference import closure, minimal_cover, ofd_set
 from ontofd.lattice import DiscoveryConfig, discover
 from ontofd.ontology import Ontology
-from ontofd.relation import attr_set, partition, relation_from_rows, strip
+from ontofd.relation import Relation, attr_set, partition, relation_from_rows, strip
 from ontofd.verify import (
     Inheritance,
     Ofd,
@@ -250,10 +250,17 @@ def test_criterion_8_scaling_trend():
     discover(warmup, ontology, DiscoveryConfig(kind=Synonym()))
     times = {}
     for n_rows in (50_000, 100_000):
-        relation = synth_relation(random.Random(42), n_rows)
-        t0 = time.perf_counter()
-        discover(relation, ontology, DiscoveryConfig(kind=Synonym()))
-        times[n_rows] = time.perf_counter() - t0
+        table = synth_relation(random.Random(42), n_rows)
+        # Best of three, as in criterion 7, so a slow phase of the host does
+        # not decide the ratio; each sample gets a fresh Relation, which
+        # encodes its columns again.
+        best = float("inf")
+        for _ in range(3):
+            relation = Relation(table.schema, table.rows)
+            t0 = time.perf_counter()
+            discover(relation, ontology, DiscoveryConfig(kind=Synonym()))
+            best = min(best, time.perf_counter() - t0)
+        times[n_rows] = best
     ratio = times[100_000] / times[50_000]
     total = time.perf_counter() - start
     assert ratio <= 2.5

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from ontofd.cli import (
     report_violations,
 )
 from ontofd.inference import ofd_set_from_records
-from ontofd.ontology import load_ontology
+from ontofd.ontology import Ontology, OntologyClass, load_ontology
 from ontofd.relation import load_relation, relation_from_rows
 from ontofd.verify import Inheritance, Ofd, Synonym
 
@@ -89,9 +90,19 @@ def test_stats_artifact(tmp_path):
     assert code == 0
     rows = json.loads(stats.read_text())
     assert rows and all(
-        {"kind", "level", "candidates", "ofds", "seconds"} <= set(row) for row in rows
+        {"kind", "level", "nodes", "pruned", "candidates", "ofds", "seconds"} <= set(row)
+        for row in rows
     )
     assert [row["level"] for row in rows] == sorted(row["level"] for row in rows)
+    # the clinical sample has 6 columns: 15 pairs, and the keys {id} and
+    # {MED} make some superkey nodes dead from level 1 on
+    assert rows[0]["nodes"] == 15
+    assert all(0 <= row["pruned"] <= row["nodes"] for row in rows)
+    assert sum(row["pruned"] for row in rows) > 0
+    code, _ = run_cli(tmp_path, "--mode", "syn", "--no-opt3", "--stats", str(stats))
+    full = json.loads(stats.read_text())
+    assert [row["nodes"] for row in full] == [15, 20, 15, 6, 1]
+    assert all(row["pruned"] == 0 for row in full)
 
 
 def test_round_trip_into_inference(tmp_path):
@@ -167,6 +178,37 @@ def test_inject_errors_matches_rescanning_reference(seed):
                 assert got_table.rows == want_table.rows and got_log == want_log
 
 
+class CountingOntology(Ontology):
+    """Ontology that counts its ``names`` lookups."""
+
+    calls = 0
+
+    def names(self, value):
+        self.calls += 1
+        return super().names(value)
+
+
+def test_inject_errors_looks_up_each_value_once():
+    # a unique-valued column whose values share senses in overlapping
+    # windows, plus a repeated column; the output must match the rescanning
+    # reference with one lookup per distinct value and per chosen cell
+    n = 300
+    classes = [
+        OntologyClass(f"s{k}", frozenset(str(i) for i in range(3 * k, min(3 * k + 4, n))),
+                      frozenset())
+        for k in range(n // 3)
+    ]
+    ontology = CountingOntology(classes)
+    relation = relation_from_rows(["id", "k"], [(str(i), str(i % 7)) for i in range(n)])
+    for rate in (0.01, 0.1, 0.5):
+        ontology.calls = 0
+        got_table, got_log = inject_errors(relation, rate, 5, ontology=ontology)
+        calls = ontology.calls
+        want_table, want_log = reference_inject_errors(relation, rate, 5, ontology=ontology)
+        assert got_table.rows == want_table.rows and got_log == want_log
+        assert calls <= n + 7 + math.ceil(rate * n), (rate, calls)
+
+
 def test_violation_report_suggests_majority_value():
     ontology = load_ontology(ONTOLOGY)
     relation = relation_from_rows(
@@ -226,6 +268,39 @@ def test_stdout_output(capsys):
     assert code == 0
     records = json.loads(capsys.readouterr().out)
     assert isinstance(records, list) and records
+
+
+@pytest.mark.parametrize("flag", ["--output", "--stats"])
+def test_missing_output_directory_exits_2_before_discovery(tmp_path, capsys, monkeypatch, flag):
+    import ontofd.cli
+
+    def no_discovery(*args, **kwargs):
+        raise AssertionError("discovery ran")
+
+    monkeypatch.setattr(ontofd.cli, "discover", no_discovery)
+    paths = {"--output": str(tmp_path / "out.json"), "--stats": str(tmp_path / "stats.json")}
+    paths[flag] = str(tmp_path / "nonexistent" / "dir" / "out.json")
+    code = main([
+        "--input", CLINICAL, "--ontology", ONTOLOGY,
+        "--output", paths["--output"], "--stats", paths["--stats"],
+    ])
+    err = capsys.readouterr().err
+    assert code == 2 and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--output", "--stats"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, flag):
+    # the parent exists but the path is a directory, so the write fails
+    paths = {"--output": str(tmp_path / "out.json"), "--stats": str(tmp_path / "stats.json")}
+    paths[flag] = str(tmp_path)
+    code = main([
+        "--input", CLINICAL, "--ontology", ONTOLOGY,
+        "--output", paths["--output"], "--stats", paths["--stats"],
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("target", ["input", "ontology"])

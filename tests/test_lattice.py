@@ -14,12 +14,12 @@ from ontofd.lattice import (
     calculate_next_level,
     discover,
 )
-from ontofd.ontology import Ontology
+from ontofd.ontology import Ontology, OntologyClass
 from ontofd.relation import attr_set, partition, relation_from_rows, strip
 from ontofd.verify import Inheritance, Synonym
 
 from conftest import CC, CTRY, DIAG, ID, MED, SYMP
-from gen import random_instance
+from gen import random_instance, synth_ontology, synth_relation
 from oracle import brute_discover, brute_discover_approx, brute_minimal_keys
 
 # Frozen from the enumerate-and-minimize oracle over the clinical sample.
@@ -100,6 +100,10 @@ def test_calculate_next_level_joins_prefix_blocks():
     assert [n.attrs for n in level3] == [(0, 1, 2)]
     disjoint = make_nodes(relation, cfg, [(0, 1), (2, 3)])
     assert calculate_next_level(disjoint, relation, cfg) == []
+    # a dead node is joined with nothing, and no node above it is built
+    pairs = make_nodes(relation, cfg, itertools.combinations(range(4), 2))
+    next(n for n in pairs if n.attrs == (1, 2)).dead = True
+    assert [n.attrs for n in calculate_next_level(pairs, relation, cfg)] == [(0, 1, 3), (0, 2, 3)]
 
 
 def test_next_level_partitions_are_products(clinical):
@@ -123,6 +127,34 @@ def test_candidate_set_removal_prunes_supersets(clinical, clinical_ontology):
 def test_no_trivial_dependencies(clinical, clinical_ontology):
     result = discover(clinical, clinical_ontology, DiscoveryConfig(kind=Synonym()))
     assert all(o.rhs not in o.lhs for o in result.ofds)
+
+
+def test_sense_dependency_does_not_carry_partitions():
+    # A -> B holds through a shared sense, yet {A, B} -> C is minimal: TANE's
+    # removal of R \ X from C+ after A -> B would lose it
+    relation = relation_from_rows(
+        ["A", "B", "C"], [("1", "USA", "x"), ("1", "America", "y"), ("2", "USA", "y")]
+    )
+    ontology = Ontology([OntologyClass("usa", frozenset({"USA", "America"}), frozenset())])
+    got = as_pairs(discover(relation, ontology, DiscoveryConfig(kind=Synonym())))
+    assert {(frozenset({0}), 1), (frozenset({0, 1}), 2)} <= got
+    assert got == brute_discover(relation, ontology, Synonym())
+
+
+def test_minimal_key_with_no_own_candidates_stays_alive():
+    # B -> C and C -> B hold through senses, so C+({B, C}) keeps neither, but
+    # {B, C} is a minimal key and {B, C} -> A is minimal
+    relation = relation_from_rows(
+        ["A", "B", "C"], [("x", "b1", "USA"), ("y", "b1", "America"), ("z", "b2", "USA")]
+    )
+    ontology = Ontology([
+        OntologyClass("usa", frozenset({"USA", "America"}), frozenset()),
+        OntologyClass("b", frozenset({"b1", "b2"}), frozenset()),
+    ])
+    result = discover(relation, ontology, DiscoveryConfig(kind=Synonym()))
+    assert (frozenset({1, 2}), 0) in as_pairs(result)
+    assert as_pairs(result) == brute_discover(relation, ontology, Synonym())
+    assert result.keys_found == [(0,), (1, 2)]
 
 
 def test_superkey_plan_skips_verification(clinical, clinical_ontology):
@@ -266,8 +298,9 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
 
 
 def test_keys_found_are_brute_force_minimal_keys():
-    for seed in range(40):
-        relation, ontology = random_instance(seed + 6000, max_attrs=6, max_rows=12)
+    # the wider shape makes dead superkey nodes common
+    for seed, (max_attrs, max_rows) in itertools.product(range(40), ((6, 12), (8, 14))):
+        relation, ontology = random_instance(seed + 6000, max_attrs=max_attrs, max_rows=max_rows)
         want = sorted(brute_minimal_keys(relation), key=lambda k: (len(k), k))
         for stripped_flag in (True, False):
             cfg = DiscoveryConfig(kind=Synonym(), stripped=stripped_flag)
@@ -289,3 +322,33 @@ def test_approximate_discovery_at_thresholds_k_over_n(seed, theta_or_syn, data):
     got = discover(relation, ontology, DiscoveryConfig(kind=kind, tau=tau))
     want = brute_discover_approx(relation, ontology, kind, tau)
     assert {(frozenset(o.lhs), o.rhs): o.support for o in got.ofds} == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(0, 4), st.booleans(), st.data())
+def test_dead_node_pruning_keeps_the_output(seed, theta_or_syn, approximate, data):
+    # at up to 8 attributes and 14 rows superkeys, and with them dead nodes,
+    # occur from the second level on; without superkey shortcutting the
+    # full lattice is built
+    relation, ontology = random_instance(seed, max_attrs=8, max_rows=14)
+    kind = Synonym() if theta_or_syn == 4 else Inheritance(theta_or_syn)
+    tau = data.draw(st.integers(1, relation.n)) / relation.n if approximate else 1.0
+
+    def run(**flags):
+        result = discover(relation, ontology, DiscoveryConfig(kind=kind, tau=tau, **flags))
+        return [(o.lhs, o.rhs, o.support) for o in result.ofds], result.keys_found
+
+    assert run() == run(opt3=False)
+
+
+def test_dead_node_pruning_counts():
+    relation = synth_relation(random.Random(1), 400, n_attrs=14, senses_per_column=8)
+    ontology = synth_ontology(n_senses=14 * 8)
+    pruned = discover(relation, ontology, DiscoveryConfig(kind=Synonym()))
+    assert sum(s.nodes for s in pruned.per_level) < 2**14 // 2
+    assert sum(s.pruned for s in pruned.per_level) > 0
+    for flags in ({"opt2": False}, {"opt3": False}):
+        full = discover(relation, ontology, DiscoveryConfig(kind=Synonym(), **flags))
+        assert sum(s.nodes for s in full.per_level) == 2**14 - 14 - 1
+        assert all(s.pruned == 0 for s in full.per_level)
+        assert full.ofds == pruned.ofds and full.keys_found == pruned.keys_found

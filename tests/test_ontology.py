@@ -68,6 +68,16 @@ def test_load_errors_are_distinct():
         ])
     with pytest.raises(OntologyError, match="itself"):
         make([{"id": "A", "synonyms": ["x"], "parents": ["A"]}])
+    # a string would otherwise be split into one synonym or parent per char
+    with pytest.raises(OntologyError, match="'synonyms' must be a list"):
+        make([{"id": "A", "synonyms": "abc"}])
+    with pytest.raises(OntologyError, match="'parents' must be a list"):
+        make([{"id": "A", "synonyms": ["x"], "parents": "B"}, {"id": "B", "synonyms": ["y"]}])
+    # NUL-prefixed ids are the implicit classes of out-of-vocabulary values
+    with pytest.raises(OntologyError, match="reserved"):
+        make([{"id": implicit_class_id("x"), "synonyms": ["y"]}])
+    with pytest.raises(OntologyError, match="reserved"):
+        Ontology([OntologyClass(implicit_class_id("x"), frozenset({"x"}), frozenset())])
 
 
 def test_ancestor_chain_distances():

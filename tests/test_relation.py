@@ -46,6 +46,17 @@ def test_load_errors():
         load_relation(io.TextIOWrapper(io.BytesIO(b"a,b\n\xff,2\n"), encoding="utf-8"))
 
 
+def test_leading_bom_is_dropped(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffA,B\n\ufeffx,y\n".encode("utf-8"))
+    for source in (path, str(path), io.StringIO("\ufeffA,B\n\ufeffx,y\n")):
+        r = load_relation(source)
+        # only the mark that starts the input goes
+        assert r.schema == ("A", "B") and r.rows == (("\ufeffx", "y"),)
+    r = load_relation(io.StringIO("\ufeff1,2\n"), header=False)
+    assert r.rows == (("1", "2"),)
+
+
 def test_load_without_header_and_delimiter():
     r = load_relation(io.StringIO("1|2|3\n4|5|6\n"), delimiter="|", header=False)
     assert r.schema == ("A1", "A2", "A3")
