@@ -248,19 +248,17 @@ def test_criterion_8_scaling_trend():
     ontology = synth_ontology()
     warmup = synth_relation(random.Random(1), 5000)
     discover(warmup, ontology, DiscoveryConfig(kind=Synonym()))
-    times = {}
-    for n_rows in (50_000, 100_000):
-        table = synth_relation(random.Random(42), n_rows)
-        # Best of three, as in criterion 7, so a slow phase of the host does
-        # not decide the ratio; each sample gets a fresh Relation, which
-        # encodes its columns again.
-        best = float("inf")
-        for _ in range(3):
+    tables = {n_rows: synth_relation(random.Random(42), n_rows) for n_rows in (50_000, 100_000)}
+    times = dict.fromkeys(tables, float("inf"))
+    # Best of three per size, as in criterion 7, with the sizes alternating
+    # so that a slow phase of the host slows both; each sample gets a fresh
+    # Relation, which encodes its columns again.
+    for _ in range(3):
+        for n_rows, table in tables.items():
             relation = Relation(table.schema, table.rows)
             t0 = time.perf_counter()
             discover(relation, ontology, DiscoveryConfig(kind=Synonym()))
-            best = min(best, time.perf_counter() - t0)
-        times[n_rows] = best
+            times[n_rows] = min(times[n_rows], time.perf_counter() - t0)
     ratio = times[100_000] / times[50_000]
     total = time.perf_counter() - start
     assert ratio <= 2.5
