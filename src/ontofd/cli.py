@@ -2,13 +2,13 @@
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags or flag
 combinations), 2 for data problems (unreadable or malformed input files).
+The report and the injection themselves live in ``ontofd.repair``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,18 +16,10 @@ from typing import Sequence
 
 from .inference import kind_label
 from .lattice import DiscoveryConfig, discover
-from .ontology import Ontology, OntologyError, display_label, load_ontology
-from .relation import (
-    AttrSet,
-    Relation,
-    RelationError,
-    StrippedPartition,
-    load_relation,
-    partition,
-    relation_from_rows,
-    strip,
-)
-from .verify import Inheritance, Ofd, Synonym, support
+from .ontology import Ontology, OntologyError, load_ontology
+from .relation import Relation, RelationError, load_relation, partition
+from .repair import CellChange, ViolationReport, inject_errors, report_violations
+from .verify import Inheritance, Ofd, Synonym
 
 
 class CliConfigError(Exception):
@@ -62,196 +54,12 @@ class RunConfig:
             raise CliConfigError("--theta must be non-negative")
         if not 0.0 < self.tau <= 1.0:
             raise CliConfigError("--tau must be in (0, 1]")
+        if self.max_level is not None and self.max_level < 1:
+            raise CliConfigError("--max-level must be at least 1")
         if self.report_format not in ("json", "text"):
             raise CliConfigError(f"unknown format {self.report_format!r}")
         if self.inject_rate is not None and not 0.0 <= self.inject_rate < 1.0:
             raise CliConfigError("--inject-errors rate must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class CellChange:
-    """One injected perturbation: (row, column) with old and new value."""
-
-    row: int
-    column: int
-    old: str
-    new: str
-
-
-@dataclass(frozen=True)
-class ClassViolation:
-    """One equivalence class that fails the exact check, split into the
-    tuples consistent with the majority sense and the minority remainder."""
-
-    representative: int
-    majority_sense: str
-    majority_tuples: tuple[int, ...]
-    minority_tuples: tuple[int, ...]
-    minority_values: tuple[str, ...]
-    suggested_value: str
-
-
-@dataclass(frozen=True)
-class OfdViolationEntry:
-    ofd: Ofd
-    support: float
-    violations: tuple[ClassViolation, ...]
-    # Fraction of satisfying tuples whose consequent value differs from the
-    # canonical value of their class yet is ontologically consistent with it.
-    false_positive_savings: float
-
-
-@dataclass(frozen=True)
-class ViolationReport:
-    entries: tuple[OfdViolationEntry, ...]
-
-
-class _Omitting:
-    """``values`` without the entries at the sorted positions ``gaps``.
-
-    ``random.choice`` draws from it exactly as from the equivalent list,
-    which is never built.
-    """
-
-    def __init__(self, values: Sequence[str], gaps: Sequence[int]):
-        self.values = values
-        self.gaps = gaps
-
-    def __len__(self) -> int:
-        return len(self.values) - len(self.gaps)
-
-    def __getitem__(self, index: int) -> str:
-        for gap in self.gaps:
-            if gap > index:
-                break
-            index += 1
-        return self.values[index]
-
-
-class _SharedSenses:
-    """Which of a column's sorted distinct values share a sense, with each
-    value's senses looked up once."""
-
-    def __init__(self, ontology: Ontology, values: Sequence[str]):
-        self.senses = [ontology.names(v) for v in values]
-        self.holders: dict[str, list[int]] = {}
-        for i, senses in enumerate(self.senses):
-            for sense in senses:
-                self.holders.setdefault(sense, []).append(i)
-
-    def positions(self, at: int) -> list[int]:
-        """Sorted positions of the values sharing a sense with value ``at``,
-        ``at`` included: every value has at least one sense."""
-        return sorted({i for sense in self.senses[at] for i in self.holders[sense]})
-
-
-def inject_errors(
-    relation: Relation,
-    rate: float,
-    seed: int,
-    *,
-    columns: Sequence[int] | None = None,
-    ontology: Ontology | None = None,
-) -> tuple[Relation, list[CellChange]]:
-    """Perturb ``ceil(rate * n)`` cells with values from other rows.
-
-    Cells are drawn uniformly from the given columns (all columns by
-    default).  When an ontology is supplied, replacement values that share no
-    sense with the original are preferred, so the logged cells break sense
-    agreement whenever the column offers such a value.  The same seed always
-    produces the same perturbation.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must be in [0, 1)")
-    n = relation.n
-    count = math.ceil(rate * n)
-    if count == 0:
-        return relation, []
-    rng = random.Random(seed)
-    target_columns = list(columns) if columns is not None else list(range(len(relation.schema)))
-    cells = [(row, col) for col in target_columns for row in range(n)]
-    chosen = rng.sample(cells, min(count, len(cells)))
-    rows = [list(row) for row in relation.rows]
-    # Per column: the sorted distinct values, and the position of each.
-    values = {col: sorted({row[col] for row in relation.rows}) for col in set(target_columns)}
-    position = {col: {v: i for i, v in enumerate(vals)} for col, vals in values.items()}
-    sharing: dict[int, _SharedSenses] = {}
-    log: list[CellChange] = []
-    for row, col in sorted(chosen):
-        if n == 1:
-            # No other row holds a value to draw.
-            continue
-        old = rows[row][col]
-        vals = values[col]
-        at = position[col][old]
-        # Draw from the values that share no sense with ``old``, else from
-        # any value but ``old``, else ``old`` itself, which then fills the
-        # other rows too.
-        pool: Sequence[str] = vals
-        if len(vals) > 1:
-            pool = _Omitting(vals, [at])
-        if ontology is not None:
-            if col not in sharing:
-                sharing[col] = _SharedSenses(ontology, vals)
-            breaking = _Omitting(vals, sharing[col].positions(at))
-            if len(breaking):
-                pool = breaking
-        new = rng.choice(pool)
-        rows[row][col] = new
-        log.append(CellChange(row, col, old, new))
-    return relation_from_rows(relation.schema, rows), log
-
-
-def report_violations(
-    relation: Relation,
-    ontology: Ontology,
-    ofds: Sequence[Ofd],
-) -> ViolationReport:
-    """Violating classes with repair suggestions, per dependency.
-
-    For every class failing the exact check, tuples consistent with the
-    majority sense (or ancestor) keep their values; the minority tuples get
-    the consequent value of the smallest-id majority tuple as the suggested
-    repair.  A class fails the exact check exactly when its majority split
-    leaves a non-empty minority.  Dependencies that hold exactly produce no
-    violations but still get the savings statistic.
-    """
-    entries: list[OfdViolationEntry] = []
-    parts: dict[AttrSet, StrippedPartition] = {}
-    for ofd in ofds:
-        part = parts.get(ofd.lhs)
-        if part is None:
-            part = parts[ofd.lhs] = strip(partition(relation, ofd.lhs))
-        approx = support(relation, ontology, part, ofd.rhs, ofd.kind)
-        violations: list[ClassViolation] = []
-        satisfying_total = relation.n - part.covered_count
-        unequal_total = 0
-        for cls in approx.classes:
-            members = cls.members
-            satisfying_total += len(members)
-            canonical = relation.rows[min(members)][ofd.rhs] if members else ""
-            unequal_total += sum(
-                1 for t in members if relation.rows[t][ofd.rhs] != canonical
-            )
-            if cls.others:
-                minority_values = tuple(
-                    relation.rows[t][ofd.rhs] for t in cls.others
-                )
-                violations.append(
-                    ClassViolation(
-                        representative=cls.representative,
-                        majority_sense=display_label(cls.sense),
-                        majority_tuples=members,
-                        minority_tuples=cls.others,
-                        minority_values=minority_values,
-                        suggested_value=canonical,
-                    )
-                )
-        savings = unequal_total / satisfying_total if satisfying_total else 0.0
-        entries.append(
-            OfdViolationEntry(ofd, approx.support, tuple(violations), savings)
-        )
-    return ViolationReport(tuple(entries))
 
 
 def ofd_to_record(ofd: Ofd, schema: Sequence[str]) -> dict:
@@ -305,6 +113,66 @@ def _format_text(records: list[dict]) -> str:
             f" ({r['kind']}{theta}, support={r['support']:.6g})"
         )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_FIELD = "{}: {}".format
+
+
+def to_json(obj: object) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set; this builds the same text with one call per container, strings
+    escaped by ``json``'s C helper.  It takes dicts with string keys, lists
+    and tuples, strings, ints, bools, None and floats (NaN and the
+    infinities spelled as ``json`` spells them); anything else raises
+    ``TypeError``.
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(obj: object, newline: str) -> str:
+    """``obj`` as indented JSON; ``newline`` starts a line at its depth."""
+    if isinstance(obj, str):
+        return _ENCODE_STR(obj)
+    if isinstance(obj, (list, tuple, dict)):
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            return "{}" if is_dict else "[]"
+        inner = newline + "  "
+        items = []
+        for value in obj.values() if is_dict else obj:
+            # Plain strings and ints, most of the leaves, skip the call.
+            kind = type(value)
+            if kind is str:
+                items.append(_ENCODE_STR(value))
+            elif kind is int:
+                items.append(int.__repr__(value))
+            else:
+                items.append(_encode(value, inner))
+        sep = "," + inner
+        if is_dict:
+            # The string helper raises TypeError on a key that is no str.
+            return f"{{{inner}{sep.join(map(_FIELD, map(_ENCODE_STR, obj), items))}{newline}}}"
+        return f"[{inner}{sep.join(items)}{newline}]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -364,6 +232,7 @@ def run(cfg: RunConfig) -> int:
                     "candidates": stats.candidates,
                     "ofds": stats.ofds,
                     "seconds": stats.seconds,
+                    "product_seconds": stats.product_seconds,
                 }
             )
 
@@ -386,25 +255,23 @@ def _write_artifacts(
     """Write the output, stats, injection log and violation report."""
     records = ofds_to_records(all_ofds, relation.schema)
     if cfg.report_format == "json":
-        _write(cfg.output_path, json.dumps(records, indent=2) + "\n")
+        _write(cfg.output_path, to_json(records) + "\n")
     else:
         _write(cfg.output_path, _format_text(records))
 
     if cfg.stats_path is not None:
-        _write(cfg.stats_path, json.dumps(stats_rows, indent=2) + "\n")
+        _write(cfg.stats_path, to_json(stats_rows) + "\n")
 
     if cfg.inject_rate is not None and cfg.output_path is not None:
         log_records = [
             {"row": c.row, "column": relation.schema[c.column], "old": c.old, "new": c.new}
             for c in inject_log
         ]
-        _write(cfg.output_path + ".inject-log.json", json.dumps(log_records, indent=2) + "\n")
+        _write(cfg.output_path + ".inject-log.json", to_json(log_records) + "\n")
 
     if cfg.report_violations:
         report = report_violations(relation, ontology, all_ofds)
-        report_json = json.dumps(
-            violation_report_to_records(report, relation.schema), indent=2
-        ) + "\n"
+        report_json = to_json(violation_report_to_records(report, relation.schema)) + "\n"
         violations_path = None if cfg.output_path is None else cfg.output_path + ".violations.json"
         _write(violations_path, report_json)
 

@@ -73,6 +73,9 @@ class LevelStats:
 
     ``nodes`` counts the lattice nodes materialised at the level (attribute
     sets of size ``level + 1``) and ``pruned`` those of them found dead.
+    ``seconds`` is the time spent testing the level's candidates and
+    ``product_seconds`` the time ``calculate_next_level`` spent building its
+    nodes and their partitions.
     """
 
     level: int
@@ -81,6 +84,7 @@ class LevelStats:
     seconds: float
     nodes: int
     pruned: int
+    product_seconds: float
 
 
 @dataclass
@@ -297,6 +301,7 @@ def discover(
     node_size = 1
     per_level: list[LevelStats] = []
     parents: dict[AttrSet, LatticeNode] = {}
+    product_seconds = 0.0
     while level:
         if node_size >= 2:
             started = time.perf_counter()
@@ -312,12 +317,15 @@ def discover(
                     time.perf_counter() - started,
                     len(level),
                     acc.pruned,
+                    product_seconds,
                 )
             )
         if cfg.max_level is not None and node_size > cfg.max_level:
             break
         parents = {node.attrs: node for node in level}
+        started = time.perf_counter()
         level = calculate_next_level(level, relation, cfg)
+        product_seconds = time.perf_counter() - started
         node_size += 1
     acc.ofds.sort(key=lambda o: (len(o.lhs), o.lhs, o.rhs))
     acc.keys_found.sort(key=lambda k: (len(k), k))

@@ -192,8 +192,8 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
     Expected shape: ``{"classes": [{"id": ..., "synonyms": [...],
     "parents": [...]}, ...]}`` with ``parents`` optional; ``synonyms`` and
     ``parents`` must be lists.  Synonym strings are trimmed of surrounding
-    whitespace.  Bytes that are not UTF-8 raise
-    ``OntologyError``.
+    whitespace and may not be empty after trimming; cell values are never
+    trimmed.  Bytes that are not UTF-8 raise ``OntologyError``.
     """
     try:
         if isinstance(source, (str, Path)):
@@ -214,6 +214,8 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
             if not isinstance(entry.get(key, []), list):
                 raise OntologyError(f"class {class_id!r}: {key!r} must be a list")
         synonyms = frozenset(str(s).strip() for s in entry.get("synonyms", []))
+        if "" in synonyms:
+            raise OntologyError(f"class {class_id!r}: a synonym is empty after trimming")
         parents = frozenset(str(p) for p in entry.get("parents", []))
         classes.append(OntologyClass(id=class_id, synonyms=synonyms, parents=parents))
     return Ontology(classes, case_insensitive=case_insensitive)

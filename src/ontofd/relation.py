@@ -164,18 +164,22 @@ def _parse_rows(reader: Iterable[list[str]], header: bool) -> Relation:
 
 
 def partition(relation: Relation, attrs: AttrSet) -> Partition:
-    """Group tuple ids by string equality over ``attrs``."""
+    """Group tuple ids by string equality over ``attrs``.
+
+    A single attribute groups the column's dictionary codes; codes number
+    the values in order of first appearance, so those classes already come
+    ordered by their representative.
+    """
     for a in attrs:
         if not 0 <= a < len(relation.schema):
             raise RelationError(f"unknown attribute index {a}")
-    groups: dict[tuple[str, ...], list[int]] = {}
     if len(attrs) == 1:
-        a = attrs[0]
-        single: dict[str, list[int]] = {}
-        for i, row in enumerate(relation.rows):
-            single.setdefault(row[a], []).append(i)
-        classes = sorted(single.values(), key=lambda c: c[0])
+        column = relation.columns[attrs[0]]
+        classes: list[list[int]] = [[] for _ in column.values]
+        for t, code in enumerate(column.codes):
+            classes[code].append(t)
     else:
+        groups: dict[tuple[str, ...], list[int]] = {}
         for i, row in enumerate(relation.rows):
             key = tuple(row[a] for a in attrs)
             groups.setdefault(key, []).append(i)

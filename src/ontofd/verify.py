@@ -206,9 +206,16 @@ def _support(table: SenseTable, part: AnyPartition) -> SupportOutcome:
     satisfied = n - part.covered_count
     majorities: list[ClassMajority] = []
     for cls in part.classes:
-        best, sense = _majority(table, cls)
-        members = tuple(t for t in cls if sense in senses[codes[t]])
-        others = tuple(t for t in cls if sense not in senses[codes[t]])
+        shared = frozenset.intersection(*map(senses.__getitem__, set(map(codes.__getitem__, cls))))
+        if shared:
+            # Every tuple carries every shared sense, so all of them count
+            # and the tie between those senses goes to the smallest id.
+            best, sense = len(cls), min(shared)
+            members, others = tuple(cls), ()
+        else:
+            best, sense = _majority(table, cls)
+            members = tuple(t for t in cls if sense in senses[codes[t]])
+            others = tuple(t for t in cls if sense not in senses[codes[t]])
         satisfied += best
         majorities.append(ClassMajority(cls[0], table.names[sense], members, others))
     support = 1.0 if n == 0 else satisfied / n

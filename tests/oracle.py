@@ -6,9 +6,10 @@ enumerating and minimizing every candidate, support by exhaustive subset
 search, and closure by saturating the three inference rules over all
 subsets of the queried attribute set.  None of it shares code paths with
 the library beyond the ontology's basic lookups.  ``reference_verify``,
-``reference_support`` and ``reference_inject_errors`` keep the string-based
-algorithms the library used before it encoded columns, as the outcomes the
-encoded versions must reproduce exactly.
+``reference_support``, ``reference_report_violations`` and
+``reference_inject_errors`` keep the string-based algorithms the library
+used before it encoded columns, as the outcomes the encoded versions must
+reproduce exactly.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import math
 import random
 from itertools import combinations
 
-from ontofd.cli import CellChange
-from ontofd.ontology import Ontology
+from ontofd.ontology import Ontology, display_label
 from ontofd.relation import Partition, Relation, relation_from_rows
+from ontofd.repair import CellChange, ClassViolation, OfdViolationEntry, ViolationReport
 from ontofd.verify import (
     ClassMajority,
     Inheritance,
@@ -237,6 +238,37 @@ def reference_support(relation, ontology, part, a, kind, equal_fast_path=True):
         majorities.append(ClassMajority(cls[0], best_sense, members, others))
     support = 1.0 if relation.n == 0 else satisfied / relation.n
     return SupportOutcome(support, satisfied, tuple(majorities))
+
+
+def reference_report_violations(relation, ontology, ofds):
+    """The violation report over cell strings: a string-grouped stripped
+    partition per dependency, majority splits from ``reference_support``,
+    and savings counted by comparing cell strings."""
+    rows = relation.rows
+    entries = []
+    for ofd in ofds:
+        classes = [c for c in naive_partition(rows, ofd.lhs) if len(c) >= 2]
+        part = Partition(ofd.lhs, tuple(tuple(c) for c in classes))
+        approx = reference_support(relation, ontology, part, ofd.rhs, ofd.kind)
+        violations = []
+        satisfying_total = relation.n - part.covered_count
+        unequal_total = 0
+        for cls in approx.classes:
+            satisfying_total += len(cls.members)
+            canonical = rows[min(cls.members)][ofd.rhs] if cls.members else ""
+            unequal_total += sum(1 for t in cls.members if rows[t][ofd.rhs] != canonical)
+            if cls.others:
+                violations.append(ClassViolation(
+                    representative=cls.representative,
+                    majority_sense=display_label(cls.sense),
+                    majority_tuples=cls.members,
+                    minority_tuples=cls.others,
+                    minority_values=tuple(rows[t][ofd.rhs] for t in cls.others),
+                    suggested_value=canonical,
+                ))
+        savings = unequal_total / satisfying_total if satisfying_total else 0.0
+        entries.append(OfdViolationEntry(ofd, approx.support, tuple(violations), savings))
+    return ViolationReport(tuple(entries))
 
 
 def reference_inject_errors(relation, rate, seed, *, columns=None, ontology=None):

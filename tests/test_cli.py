@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ontofd.cli import (
     RunConfig,
@@ -14,6 +15,7 @@ from ontofd.cli import (
     main,
     ofds_to_records,
     report_violations,
+    to_json,
 )
 from ontofd.inference import ofd_set_from_records
 from ontofd.ontology import Ontology, OntologyClass, load_ontology
@@ -70,12 +72,21 @@ def test_missing_ontology_exits_2_without_output(tmp_path):
     assert code == 2 and not out.exists()
 
 
-def test_config_errors_exit_1(tmp_path):
+def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["--input", "x", "--ontology", "y", "--mode", "inh"]) == 1
     assert main(["--input", "x", "--ontology", "y", "--tau", "0"]) == 1
     assert main(["--no-such-flag"]) == 1
     with pytest.raises(CliConfigError):
         RunConfig(input_path="x", ontology_path="y", mode="inh")
+    capsys.readouterr()
+    # the inputs do not exist: a level below 1 is rejected before any load
+    for level in ("0", "-1"):
+        code = main(["--input", "x", "--ontology", "y", "--max-level", level])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--max-level" in err
+    with pytest.raises(CliConfigError):
+        RunConfig(input_path="x", ontology_path="y", max_level=0)
 
 
 def test_text_format(tmp_path):
@@ -89,10 +100,12 @@ def test_stats_artifact(tmp_path):
     code, _ = run_cli(tmp_path, "--mode", "syn", "--stats", str(stats))
     assert code == 0
     rows = json.loads(stats.read_text())
-    assert rows and all(
-        {"kind", "level", "nodes", "pruned", "candidates", "ofds", "seconds"} <= set(row)
-        for row in rows
-    )
+    fields = {"kind", "level", "nodes", "pruned", "candidates", "ofds", "seconds",
+              "product_seconds"}
+    assert rows and all(fields <= set(row) for row in rows)
+    # building a level's nodes is timed apart from testing its candidates
+    assert all(row["product_seconds"] >= 0 and row["seconds"] >= 0 for row in rows)
+    assert sum(row["product_seconds"] for row in rows) > 0
     assert [row["level"] for row in rows] == sorted(row["level"] for row in rows)
     # the clinical sample has 6 columns: 15 pairs, and the keys {id} and
     # {MED} make some superkey nodes dead from level 1 on
@@ -315,3 +328,30 @@ def test_invalid_utf8_exits_2_with_one_line(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert code == 2 and not out.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example([float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300])
+@example({"": [], "é": {}, "\u2603\ud834\udd1e": [[], {}, ()], "\"\\\n\t\x00": "\x7f\u0085"})
+@example([True, 1, False, 0, None, "1", 10**30, -7])
+@example({"rows": [[1, 2], ["x", "y"], [1, "x", 1.5, None]]})
+def test_json_writer_equals_indented_dumps(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_rejects_what_it_does_not_take():
+    for value in ({1: "a"}, {("a",): 1}, {"a"}, object(), b"a", [1, {"k": {2}}]):
+        with pytest.raises(TypeError):
+            to_json(value)

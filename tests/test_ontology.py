@@ -78,6 +78,10 @@ def test_load_errors_are_distinct():
         make([{"id": implicit_class_id("x"), "synonyms": ["y"]}])
     with pytest.raises(OntologyError, match="reserved"):
         Ontology([OntologyClass(implicit_class_id("x"), frozenset({"x"}), frozenset())])
+    # trimming would turn these into "", the sense of every empty cell
+    for blank in ("", "  ", "\t\n"):
+        with pytest.raises(OntologyError, match="empty after trimming"):
+            make([{"id": "A", "synonyms": ["x", blank]}])
 
 
 def test_ancestor_chain_distances():

@@ -254,16 +254,21 @@ SURFACE = ["a", "b", "c", "d", "zz"]
 
 
 @st.composite
-def checked_candidates(draw):
+def ontologies(draw):
     ids = draw(st.permutations(["m", "b", "x", "a", "q"]))[: draw(st.integers(1, 5))]
-    classes = [
+    return Ontology([
         OntologyClass(
             class_id,
             frozenset(draw(st.sets(st.sampled_from(SURFACE[:-1]), min_size=1, max_size=3))),
             frozenset(draw(st.sets(st.sampled_from(ids[:i]), max_size=2))) if i else frozenset(),
         )
         for i, class_id in enumerate(ids)
-    ]
+    ])
+
+
+@st.composite
+def checked_candidates(draw):
+    ontology = draw(ontologies())
     rows = draw(st.lists(
         st.tuples(st.sampled_from(["k1", "k2", "k3"]), st.sampled_from(SURFACE)), max_size=12
     ))
@@ -271,7 +276,7 @@ def checked_candidates(draw):
     full = partition(relation, draw(st.sampled_from([(0,), ()])))
     part = strip(full) if draw(st.booleans()) else full
     kind = draw(st.sampled_from([Synonym()] + [Inheritance(theta) for theta in range(4)]))
-    return relation, Ontology(classes), part, kind, draw(st.booleans())
+    return relation, ontology, part, kind, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
