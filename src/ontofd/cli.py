@@ -230,6 +230,7 @@ def run(cfg: RunConfig) -> int:
                     "nodes": stats.nodes,
                     "pruned": stats.pruned,
                     "candidates": stats.candidates,
+                    "key_resolved": stats.key_resolved,
                     "ofds": stats.ofds,
                     "seconds": stats.seconds,
                     "product_seconds": stats.product_seconds,

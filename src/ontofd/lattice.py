@@ -73,9 +73,10 @@ class LevelStats:
 
     ``nodes`` counts the lattice nodes materialised at the level (attribute
     sets of size ``level + 1``) and ``pruned`` those of them found dead.
-    ``seconds`` is the time spent testing the level's candidates and
-    ``product_seconds`` the time ``calculate_next_level`` spent building its
-    nodes and their partitions.
+    ``key_resolved`` counts the candidates the superkey shortcut decided
+    without a call to the kernel.  ``seconds`` is the time spent testing the
+    level's candidates and ``product_seconds`` the time
+    ``calculate_next_level`` spent building its nodes and their partitions.
     """
 
     level: int
@@ -85,6 +86,7 @@ class LevelStats:
     nodes: int
     pruned: int
     product_seconds: float
+    key_resolved: int
 
 
 @dataclass
@@ -203,6 +205,7 @@ class _Accumulator:
     # minimality only when candidate-set pruning is disabled.
     valid_by_rhs: dict[int, list[frozenset[int]]] = field(default_factory=dict)
     candidates_tested: int = 0
+    key_resolved: int = 0
     emitted: int = 0
     pruned: int = 0
 
@@ -242,6 +245,7 @@ def compute_ofds(
             lhs = plan.lhs_of[a]
             acc.candidates_tested += 1
             if a in plan.key_resolved:
+                acc.key_resolved += 1
                 satisfied: int | None = n
             else:
                 satisfied = agreement(
@@ -306,6 +310,7 @@ def discover(
         if node_size >= 2:
             started = time.perf_counter()
             acc.candidates_tested = 0
+            acc.key_resolved = 0
             acc.emitted = 0
             acc.pruned = 0
             compute_ofds(level, parents, relation, ontology, cfg, acc)
@@ -318,6 +323,7 @@ def discover(
                     len(level),
                     acc.pruned,
                     product_seconds,
+                    acc.key_resolved,
                 )
             )
         if cfg.max_level is not None and node_size > cfg.max_level:

@@ -199,10 +199,18 @@ def _split(
     """Split every class of ``part`` by ``label[t]``.
 
     Groups of one tuple and tuples labelled -1 are dropped.  Classes are
-    walked in tuple order, so every group comes out sorted.
+    walked in tuple order, so every group comes out sorted.  A class of two
+    tuples, the most common one deep in the lattice, needs no grouping: it
+    stays whole when both labels are equal and not -1, and vanishes
+    otherwise, since either tuple alone would be a dropped group of one.
     """
     out: list[tuple[int, ...]] = []
     for cls in part.classes:
+        if len(cls) == 2:
+            first = label[cls[0]]
+            if first != -1 and first == label[cls[1]]:
+                out.append(cls)
+            continue
         groups: dict[int, list[int]] = {}
         for t in cls:
             groups.setdefault(label[t], []).append(t)

@@ -14,10 +14,16 @@ sense ids, so a class is decided from its codes and their multiplicities.
 discovery calls it directly and it stops as soon as the answer is known.
 The public ``verify*`` and ``support*`` functions scan every class and
 build the witnesses and majority splits.
+
+Most classes deep in the lattice hold two tuples, and those are decided in
+closed form.  Every value has at least one sense, so a pair agrees when its
+two sense sets intersect; otherwise each sense is held by exactly one of
+the two tuples, the majority keeps one tuple, and the smallest-id tie-break
+picks the smallest sense of the two values.  Only classes of three or more
+tuples need a majority count.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -140,11 +146,15 @@ def sense_table(relation: Relation, ontology: Ontology, a: int, kind: OfdKind) -
 def _majority(table: SenseTable, cls: Sequence[int]) -> tuple[int, int]:
     """Most tuples of ``cls`` that carry one sense, and that sense's id.
 
-    Ties go to the smallest id, which is the smallest class id.
+    Ties go to the smallest id, which is the smallest class id.  Senses are
+    counted once per distinct code, weighted by the code's multiplicity.
     """
     senses = table.senses
+    multiplicities: dict[int, int] = {}
+    for code in map(table.codes.__getitem__, cls):
+        multiplicities[code] = multiplicities.get(code, 0) + 1
     counts: dict[int, int] = {}
-    for code, multiplicity in Counter(map(table.codes.__getitem__, cls)).items():
+    for code, multiplicity in multiplicities.items():
         for sense in senses[code]:
             counts[sense] = counts.get(sense, 0) + multiplicity
     best = max(counts.values())
@@ -160,26 +170,36 @@ def agreement(
     """Tuples whose consequent value keeps a sense shared within its class.
 
     A class whose distinct values share a sense keeps all of its tuples;
-    any other class keeps its majority-sense tuples and loses the rest.
-    Tuples outside ``classes`` always count.  Returns ``n - lost``, or None
-    as soon as ``(n - lost) / n`` drops below ``tau``: with ``tau`` 1 that is
-    the first class without a shared sense.  ``lost`` only grows and float
-    division is monotone, so stopping early never rejects a candidate whose
-    full support reaches ``tau``.
+    any other class keeps its majority-sense tuples and loses the rest, so
+    a pair of tuples without a shared sense loses exactly one.  With
+    ``equal_fast_path`` a class of one distinct code is accepted without a
+    sense lookup.  Tuples outside ``classes`` always count.  Returns
+    ``n - lost``, or None as soon as ``(n - lost) / n`` drops below ``tau``:
+    with ``tau`` 1 that is the first class without a shared sense.  ``lost``
+    only grows and float division is monotone, so stopping early never
+    rejects a candidate whose full support reaches ``tau``.
     """
     codes = table.codes.__getitem__
     senses = table.senses.__getitem__
     n = len(table.codes)
     lost = 0
     for cls in classes:
-        distinct = set(map(codes, cls))
-        if equal_fast_path and len(distinct) == 1:
-            continue
-        if frozenset.intersection(*map(senses, distinct)):
-            continue
+        if len(cls) == 2:
+            first, second = codes(cls[0]), codes(cls[1])
+            if equal_fast_path and first == second:
+                continue
+            if not senses(first).isdisjoint(senses(second)):
+                continue
+        else:
+            distinct = set(map(codes, cls))
+            if equal_fast_path and len(distinct) == 1:
+                continue
+            if frozenset.intersection(*map(senses, distinct)):
+                continue
         if tau >= 1.0:
             return None
-        lost += len(cls) - _majority(table, cls)[0]
+        # A pair without a shared sense keeps one tuple whichever sense wins.
+        lost += 1 if len(cls) == 2 else len(cls) - _majority(table, cls)[0]
         if (n - lost) / n < tau:
             return None
     return n - lost
@@ -206,12 +226,26 @@ def _support(table: SenseTable, part: AnyPartition) -> SupportOutcome:
     satisfied = n - part.covered_count
     majorities: list[ClassMajority] = []
     for cls in part.classes:
-        shared = frozenset.intersection(*map(senses.__getitem__, set(map(codes.__getitem__, cls))))
+        if len(cls) == 2:
+            first, second = cls
+            first_senses, second_senses = senses[codes[first]], senses[codes[second]]
+            shared = first_senses & second_senses
+        else:
+            distinct = set(map(codes.__getitem__, cls))
+            shared = frozenset.intersection(*map(senses.__getitem__, distinct))
         if shared:
             # Every tuple carries every shared sense, so all of them count
             # and the tie between those senses goes to the smallest id.
             best, sense = len(cls), min(shared)
             members, others = tuple(cls), ()
+        elif len(cls) == 2:
+            # Each sense of the pair is held by one tuple, so all tie at one
+            # and the smallest id wins; the tuple holding it is the member.
+            best, sense = 1, min(first_senses | second_senses)
+            if sense in first_senses:
+                members, others = (first,), (second,)
+            else:
+                members, others = (second,), (first,)
         else:
             best, sense = _majority(table, cls)
             members = tuple(t for t in cls if sense in senses[codes[t]])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from ontofd.cli import (
     report_violations,
     to_json,
 )
-from ontofd.inference import ofd_set_from_records
+from ontofd.inference import ofd_set, ofd_set_from_records
+from ontofd.lattice import DiscoveryConfig, discover
 from ontofd.ontology import Ontology, OntologyClass, load_ontology
 from ontofd.relation import load_relation, relation_from_rows
 from ontofd.verify import Inheritance, Ofd, Synonym
@@ -100,9 +102,12 @@ def test_stats_artifact(tmp_path):
     code, _ = run_cli(tmp_path, "--mode", "syn", "--stats", str(stats))
     assert code == 0
     rows = json.loads(stats.read_text())
-    fields = {"kind", "level", "nodes", "pruned", "candidates", "ofds", "seconds",
-              "product_seconds"}
-    assert rows and all(fields <= set(row) for row in rows)
+    fields = {"kind", "level", "nodes", "pruned", "candidates", "key_resolved", "ofds",
+              "seconds", "product_seconds"}
+    assert rows and all(set(row) == fields for row in rows)
+    # {id} and {MED} are keys, so the superkey shortcut decides candidates
+    assert all(0 <= row["key_resolved"] <= row["candidates"] for row in rows)
+    assert sum(row["key_resolved"] for row in rows) > 0
     # building a level's nodes is timed apart from testing its candidates
     assert all(row["product_seconds"] >= 0 and row["seconds"] >= 0 for row in rows)
     assert sum(row["product_seconds"] for row in rows) > 0
@@ -115,7 +120,7 @@ def test_stats_artifact(tmp_path):
     code, _ = run_cli(tmp_path, "--mode", "syn", "--no-opt3", "--stats", str(stats))
     full = json.loads(stats.read_text())
     assert [row["nodes"] for row in full] == [15, 20, 15, 6, 1]
-    assert all(row["pruned"] == 0 for row in full)
+    assert all(row["pruned"] == 0 and row["key_resolved"] == 0 for row in full)
 
 
 def test_round_trip_into_inference(tmp_path):
@@ -132,6 +137,25 @@ def test_round_trip_into_inference(tmp_path):
         (tuple(names[a] for a in lhs), names[next(iter(rhs))]) for lhs, rhs in parsed.deps
     }
     assert back == again
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(0, 4), st.booleans(), st.data())
+def test_records_parse_back_into_the_discovered_set(seed, theta_or_syn, approximate, data):
+    relation, ontology = random_instance(seed, max_attrs=5, max_rows=12)
+    # names whose sorted order differs from the column order, so the
+    # records' name-sorted order differs from the discovered order
+    schema = data.draw(st.permutations(["id", "b", "Z", "a2", "a10"]))[: len(relation.schema)]
+    relation = relation_from_rows(schema, relation.rows)
+    kind = Synonym() if theta_or_syn == 4 else Inheritance(theta_or_syn)
+    tau = data.draw(st.integers(1, relation.n)) / relation.n if approximate else 1.0
+    ofds = discover(relation, ontology, DiscoveryConfig(kind=kind, tau=tau)).ofds
+    records = json.loads(to_json(ofds_to_records(ofds, schema)))
+    parsed = ofd_set_from_records(records, schema)
+    want = ofd_set(kind, [(o.lhs, (o.rhs,)) for o in ofds])
+    assert Counter(parsed.deps) == Counter(want.deps)
+    # an empty record list names no kind and parses as synonym
+    assert parsed.kind == (want.kind if ofds else Synonym())
 
 
 def test_byte_identical_reruns(tmp_path):

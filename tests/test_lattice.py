@@ -281,6 +281,8 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
     level2 = calculate_next_level(list(singles.values()), clinical, cfg)
     acc = _Accumulator()
     emitted = compute_ofds(level2, singles, clinical, clinical_ontology, cfg, acc)
+    # the keys {id} and {MED} each decide their five candidates unverified
+    assert (acc.candidates_tested, acc.key_resolved) == (30, 10)
     pairs = {(o.lhs, o.rhs) for o in emitted}
     assert ((CC,), CTRY) in pairs and ((CTRY,), CC) in pairs
     node_cc_ctry = next(n for n in level2 if n.attrs == (CC, CTRY))
@@ -339,6 +341,25 @@ def test_dead_node_pruning_keeps_the_output(seed, theta_or_syn, approximate, dat
         return [(o.lhs, o.rhs, o.support) for o in result.ofds], result.keys_found
 
     assert run() == run(opt3=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(0, 4), st.booleans(), st.data())
+def test_flag_combinations_give_identical_output(seed, theta_or_syn, approximate, data):
+    # --no-strip sends singleton classes to the kernel and --no-opt4 sends
+    # equal pairs through the sense check; neither may change the ordered
+    # output, the supports or the keys at tau 1 or any k / n
+    relation, ontology = random_instance(seed, max_attrs=5, max_rows=12)
+    kind = Synonym() if theta_or_syn == 4 else Inheritance(theta_or_syn)
+    tau = data.draw(st.integers(1, relation.n)) / relation.n if approximate else 1.0
+    outputs = []
+    for opt2, opt3, opt4, stripped_flag in itertools.product((True, False), repeat=4):
+        cfg = DiscoveryConfig(
+            kind=kind, tau=tau, opt2=opt2, opt3=opt3, opt4=opt4, stripped=stripped_flag
+        )
+        result = discover(relation, ontology, cfg)
+        outputs.append(([(o.lhs, o.rhs, o.support) for o in result.ofds], result.keys_found))
+    assert all(out == outputs[0] for out in outputs)
 
 
 def test_dead_node_pruning_counts():

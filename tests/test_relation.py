@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontofd.relation import (
     RelationError,
@@ -135,6 +136,47 @@ def test_product_equals_direct_partition_on_random_tables():
         assert got == want
         a = rng.randrange(n_attrs)
         assert refine(strip(partition(r, x)), r, a) == strip(partition(r, attr_set(x + (a,))))
+
+
+@st.composite
+def paired_relations(draw):
+    """Tables whose columns mostly group rows in pairs.
+
+    Each column labels the rows by a shuffled row number divided by a group
+    size; at size 2 every class of the column is a pair, and products of
+    such columns are mostly pairs and singletons.
+    """
+    n = draw(st.integers(0, 14))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(n)))
+        size = draw(st.sampled_from([1, 2, 2, 3]))
+        columns.append([str(i // size) for i in order])
+    return relation_from_rows([f"A{i}" for i in range(len(columns))], zip(*columns))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(paired_relations(), st.data())
+def test_refine_and_product_equal_direct_partition_on_pairs(r, data):
+    subsets = st.lists(st.integers(0, len(r.schema) - 1), max_size=3).map(attr_set)
+    x, y = data.draw(subsets), data.draw(subsets)
+    a = data.draw(st.integers(0, len(r.schema) - 1))
+    p, q = strip(partition(r, x)), strip(partition(r, y))
+    assert product(p, q) == strip(partition(r, attr_set(x + y)))
+    assert refine(p, r, a) == strip(partition(r, attr_set(x + (a,))))
+
+
+def test_pair_outside_the_other_partition_is_dropped():
+    # rows 0 and 1 share A0 but are singletons under A1, so the probe labels
+    # both -1; rows 2 and 3 agree on both, rows 4 and 5 on A0 only
+    r = relation_from_rows(
+        ["A0", "A1"], [("p", "u"), ("p", "v"), ("q", "w"), ("q", "w"), ("s", "w"), ("s", "x")]
+    )
+    p, q = strip(partition(r, (0,))), strip(partition(r, (1,)))
+    assert p.classes == ((0, 1), (2, 3), (4, 5)) and q.classes == ((2, 3, 4),)
+    want = strip(partition(r, (0, 1)))
+    assert want.classes == ((2, 3),)
+    assert product(p, q) == want == refine(p, r, 1)
 
 
 def test_partition_matches_naive_grouping():

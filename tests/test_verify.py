@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ontofd.ontology import Ontology, OntologyClass
 from ontofd.relation import attr_set, partition, relation_from_rows, strip
 from ontofd.verify import (
+    ClassMajority,
     Inheritance,
     Ofd,
     Synonym,
@@ -247,6 +248,74 @@ def test_fast_path_flag_changes_nothing():
                 assert (f.support, f.classes) == (s.support, s.classes)
 
 
+def pair_relation(*pairs):
+    """Two-tuple classes: pair ``i`` holds rows ``2i`` and ``2i + 1``."""
+    return relation_from_rows(
+        ["k", "v"], [(f"g{i}", v) for i, pair in enumerate(pairs) for v in pair]
+    )
+
+
+# Class ids sort against their synonyms' order: "x" has the larger id.
+PAIR_ONTOLOGY = Ontology([
+    OntologyClass("b", frozenset({"x"}), frozenset()),
+    OntologyClass("a", frozenset({"y"}), frozenset()),
+    OntologyClass("c", frozenset({"p", "q"}), frozenset()),
+    OntologyClass("d", frozenset({"q", "r"}), frozenset()),
+])
+
+
+def test_pair_without_shared_sense_keeps_the_smallest_id_holder():
+    # "a" is the smaller sense id and the second tuple holds it
+    relation = pair_relation(("x", "y"))
+    part = stripped(relation, [0])
+    assert part.classes == ((0, 1),)
+    for kind in (Synonym(), Inheritance(0)):
+        out = support(relation, PAIR_ONTOLOGY, part, 1, kind)
+        assert out.satisfied == 1 and out.support == 0.5
+        assert out.classes == (ClassMajority(0, "a", (1,), (0,)),)
+        assert out == reference_support(relation, PAIR_ONTOLOGY, part, 1, kind)
+        assert not verify(relation, PAIR_ONTOLOGY, part, 1, kind).holds
+
+
+def test_pair_of_polysemous_values_shares_a_sense():
+    # "p" is only in c, "r" only in d, "q" in both
+    for pair, sense in ((("p", "q"), "c"), (("r", "q"), "d"), (("q", "q"), "c")):
+        relation = pair_relation(pair)
+        part = stripped(relation, [0])
+        assert verify(relation, PAIR_ONTOLOGY, part, 1, Synonym()).holds
+        out = support(relation, PAIR_ONTOLOGY, part, 1, Synonym())
+        assert out.classes == (ClassMajority(0, sense, (0, 1), ()),)
+    relation = pair_relation(("p", "r"))
+    out = support(relation, PAIR_ONTOLOGY, stripped(relation, [0]), 1, Synonym())
+    assert out.classes == (ClassMajority(0, "c", (0,), (1,)),)
+
+
+def test_equal_pair_without_the_fast_path():
+    # a known value and one with only its implicit sense
+    for value in ("x", "zz"):
+        relation = pair_relation((value, value))
+        part = stripped(relation, [0])
+        table = sense_table(relation, PAIR_ONTOLOGY, 1, Synonym())
+        assert agreement(table, part.classes, 1.0, False) == 2
+        out = verify(relation, PAIR_ONTOLOGY, part, 1, Synonym(), equal_fast_path=False)
+        assert out.holds and out.support == 1.0
+        assert support(relation, PAIR_ONTOLOGY, part, 1, Synonym()).classes[0].others == ()
+
+
+def test_pair_agreement_at_every_threshold():
+    # four pairs, two of which lose one tuple each: 6 of 8 tuples agree
+    relation = pair_relation(("x", "y"), ("p", "q"), ("zz", "x"), ("y", "y"))
+    part = stripped(relation, [0])
+    assert [len(c) for c in part.classes] == [2, 2, 2, 2]
+    table = sense_table(relation, PAIR_ONTOLOGY, 1, Synonym())
+    n = relation.n
+    for fast in (True, False):
+        for k in range(1, n + 1):
+            got = agreement(table, part.classes, k / n, fast)
+            assert got == (6 if k <= 6 else None), (fast, k)
+    assert support(relation, PAIR_ONTOLOGY, part, 1, Synonym()).satisfied == 6
+
+
 # Surface strings: "zz" is in no synonym set, and the others may land in
 # several classes (polysemy).  Class ids are drawn in an order unrelated to
 # their string order, so the smallest-id tie-break is exercised.
@@ -269,8 +338,11 @@ def ontologies(draw):
 @st.composite
 def checked_candidates(draw):
     ontology = draw(ontologies())
+    # two to six key values over up to twelve rows make two-tuple classes
+    # common next to larger ones
+    keys = [f"k{i}" for i in range(draw(st.integers(2, 6)))]
     rows = draw(st.lists(
-        st.tuples(st.sampled_from(["k1", "k2", "k3"]), st.sampled_from(SURFACE)), max_size=12
+        st.tuples(st.sampled_from(keys), st.sampled_from(SURFACE)), max_size=12
     ))
     relation = relation_from_rows(["k", "v"], rows)
     full = partition(relation, draw(st.sampled_from([(0,), ()])))
