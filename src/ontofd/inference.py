@@ -125,11 +125,15 @@ def kind_label(kind: OfdKind) -> str:
     return "synonym" if isinstance(kind, Synonym) else "inheritance"
 
 
-def ofd_set_from_records(records: Sequence[Mapping], schema: Sequence[str]) -> OfdSet:
+def ofd_set_from_records(
+    records: Sequence[Mapping], schema: Sequence[str], *, kind: OfdKind | None = None
+) -> OfdSet:
     """Parse the JSON shape the CLI emits back into an :class:`OfdSet`.
 
     Records mixing synonym and inheritance kinds (or different thetas) are
-    rejected: inference operates on homogeneous sets only.
+    rejected: inference operates on homogeneous sets only.  An empty list
+    names no kind, so it needs ``kind``; when ``kind`` is given, every
+    record must be of that kind.
     """
     index = {name: i for i, name in enumerate(schema)}
     kinds: set[tuple[str, int | None]] = set()
@@ -146,7 +150,11 @@ def ofd_set_from_records(records: Sequence[Mapping], schema: Sequence[str]) -> O
         deps.append((lhs, rhs))
     if len(kinds) > 1:
         raise ValueError("mixed dependency kinds in one set")
-    if not kinds:
-        return OfdSet(Synonym(), ())
-    label, theta = next(iter(kinds))
-    return ofd_set(kind_from_label(label, theta), deps)
+    if kinds:
+        found = kind_from_label(*kinds.pop())
+        if kind is not None and found != kind:
+            raise ValueError(f"records are of kind {found}, not {kind}")
+        kind = found
+    elif kind is None:
+        raise ValueError("an empty record list needs a kind")
+    return ofd_set(kind, deps)

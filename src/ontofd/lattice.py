@@ -9,11 +9,20 @@ hold, which silently prunes every non-minimal superset candidate downstream.
 Verification of ``(X \\ A) -> A`` uses the parent node's partition, built
 once per node by refining a parent's partition by the node's last attribute.
 
+Attribute sets and candidate sets are ``int`` bitmasks, bit ``a`` standing
+for attribute ``a``, as in TANE; Python ints are unbounded, so any width
+works.  The parent of ``X`` without ``A`` is ``X ^ (1 << A)``, and a level is
+a dict from mask to node.  Each node also keeps its sorted attribute tuple,
+from which the emitted antecedents are cut.  The next level is built from
+prefix blocks, the live nodes that share all but their last attribute,
+keyed by ``mask ^ (1 << attrs[-1])``.
+
 With both candidate-set pruning and superkey shortcutting on, a node that is
 a superkey, has a superkey parent, and keeps none of its own attributes in
 ``C+`` is dead: no superset yields a minimal dependency or a minimal key, so
 a node is generated only when every one of its subsets one level down is
-alive (see ``compute_ofds``).
+alive, tested as membership of their masks in the set of live masks (see
+``compute_ofds`` and ``calculate_next_level``).
 
 Reported levels count antecedent attributes: level 1 covers single-attribute
 antecedents, and ``max_level`` caps the antecedent size.
@@ -22,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 from .ontology import Ontology
@@ -89,32 +97,23 @@ class LevelStats:
     key_resolved: int
 
 
-@dataclass
 class LatticeNode:
-    """One attribute set with its partition and surviving rhs candidates."""
+    """One attribute set with its partition and surviving rhs candidates.
 
-    attrs: AttrSet
-    part: NodePartition
-    candidates: set[int] = field(default_factory=set)
-    dead: bool = False
-
-    @property
-    def is_superkey(self) -> bool:
-        return self.part.is_superkey
-
-
-@dataclass(frozen=True)
-class CandidatePlan:
-    """How each candidate at a node gets resolved.
-
-    ``lhs_of[a]`` is the node's attribute set without ``a``: the antecedent
-    of candidate ``a`` and the key of that parent node.
+    ``attrs`` is the sorted attribute tuple and ``mask`` the same set as a
+    bitmask; ``candidates`` is ``C+`` as a bitmask.  ``is_superkey`` is read
+    from the partition once, when the node is built.
     """
 
-    test: tuple[int, ...]
-    key_resolved: frozenset[int]
-    equal_fast_path: bool
-    lhs_of: Mapping[int, AttrSet]
+    __slots__ = ("attrs", "mask", "part", "candidates", "is_superkey", "dead")
+
+    def __init__(self, attrs: AttrSet, mask: int, part: NodePartition, candidates: int = 0):
+        self.attrs = attrs
+        self.mask = mask
+        self.part = part
+        self.candidates = candidates
+        self.is_superkey = part.is_superkey
+        self.dead = False
 
 
 @dataclass
@@ -136,63 +135,73 @@ def calculate_next_level(
     """Join pairs of live same-level nodes that share all but their last
     attribute, keeping a join only when all of its subsets are live.
 
-    A joined node's stripped partition refines the left node's partition by
-    the right node's last attribute; a superkey's partition already is the
-    identity, so its children take it over unchanged.
+    ``current`` must be in ``attrs`` order, and then so is the result: the
+    prefix blocks come in prefix order and each block in order of its last
+    attribute, so every join extends its left node in order.  A joined
+    node's stripped partition refines the left node's partition by the right
+    node's last attribute; a superkey's partition already is the identity,
+    so its children take it over unchanged.
     """
-    live = {node.attrs for node in current if not node.dead}
-    blocks: dict[AttrSet, list[LatticeNode]] = {}
+    live: set[int] = set()
+    blocks: dict[int, list[LatticeNode]] = {}
     for node in current:
         if not node.dead:
-            blocks.setdefault(node.attrs[:-1], []).append(node)
+            live.add(node.mask)
+            blocks.setdefault(node.mask ^ (1 << node.attrs[-1]), []).append(node)
     next_nodes: list[LatticeNode] = []
     for block in blocks.values():
-        block.sort(key=lambda n: n.attrs)
-        for left, right in combinations(block, 2):
-            attrs = left.attrs + right.attrs[-1:]
+        for i in range(len(block) - 1):
+            left = block[i]
             # The two joined nodes are the subsets without one of the last
-            # two attributes; the others must be looked up.
-            if any(attrs[:i] + attrs[i + 1:] not in live for i in range(len(attrs) - 2)):
-                continue
-            if left.is_superkey:
-                part: NodePartition = replace(left.part, over=attrs)
-            elif cfg.stripped:
-                part = refine(left.part, relation, attrs[-1])
-            else:
-                part = partition(relation, attrs)
-            next_nodes.append(LatticeNode(attrs, part))
-    next_nodes.sort(key=lambda n: n.attrs)
+            # two attributes; the others drop one prefix attribute instead.
+            drops = [left.mask ^ (1 << b) for b in left.attrs[:-1]]
+            for right in block[i + 1:]:
+                last = right.attrs[-1]
+                bit = 1 << last
+                if any((drop | bit) not in live for drop in drops):
+                    continue
+                attrs = left.attrs + (last,)
+                if left.is_superkey:
+                    part: NodePartition = replace(left.part, over=attrs)
+                elif cfg.stripped:
+                    part = refine(left.part, relation, last)
+                else:
+                    part = partition(relation, attrs)
+                next_nodes.append(LatticeNode(attrs, left.mask | bit, part))
     return next_nodes
 
 
 def apply_optimizations(
     node: LatticeNode,
-    parents: Mapping[AttrSet, LatticeNode],
+    parents: Mapping[int, LatticeNode],
     cfg: DiscoveryConfig,
-) -> CandidatePlan:
-    """Resolution plan for the candidates of one node.
+) -> tuple[int, int, int]:
+    """Masks ``(examine, key_resolved, key_parents)`` for one node.
 
-    With candidate-set pruning the node's ``C+`` becomes the intersection of
-    its parents' candidate sets, and only candidates left in it are
-    examined.  Trivial candidates never exist (the rhs is always drawn from
-    the node itself, so the antecedent excludes it by construction).  A
-    candidate whose antecedent is a superkey needs no verification; the
-    remaining ones go through the verifier, optionally with the
-    all-equal-values shortcut.
+    ``key_parents`` holds each attribute ``a`` of the node whose antecedent,
+    the parent without ``a``, is a superkey.  With candidate-set pruning the
+    node's ``C+`` becomes the intersection of its parents' candidate sets,
+    and only candidates left in it are examined.  Trivial candidates never
+    exist (the rhs is always drawn from the node itself, so the antecedent
+    excludes it by construction).  With superkey shortcutting an examined
+    candidate in ``key_parents`` is resolved without verification; the
+    remaining ones go through the verifier.
     """
-    attrs = node.attrs
-    lhs_of = {a: attrs[:i] + attrs[i + 1:] for i, a in enumerate(attrs)}
+    mask = node.mask
+    candidates = -1
+    key_parents = 0
+    for a in node.attrs:
+        bit = 1 << a
+        parent = parents[mask ^ bit]
+        candidates &= parent.candidates
+        if parent.is_superkey:
+            key_parents |= bit
     if cfg.opt2:
-        node.candidates = set.intersection(*(parents[lhs].candidates for lhs in lhs_of.values()))
-        examine = sorted(set(attrs) & node.candidates)
+        node.candidates = candidates
+        examine = candidates & mask
     else:
-        examine = list(attrs)
-    key_resolved = set()
-    if cfg.opt3:
-        for a in examine:
-            if parents[lhs_of[a]].is_superkey:
-                key_resolved.add(a)
-    return CandidatePlan(tuple(examine), frozenset(key_resolved), cfg.opt4, lhs_of)
+        examine = mask
+    return examine, examine & key_parents if cfg.opt3 else 0, key_parents
 
 
 @dataclass
@@ -201,9 +210,9 @@ class _Accumulator:
 
     ofds: list[Ofd] = field(default_factory=list)
     keys_found: list[AttrSet] = field(default_factory=list)
-    # rhs -> antecedents of every candidate found valid so far; consulted for
-    # minimality only when candidate-set pruning is disabled.
-    valid_by_rhs: dict[int, list[frozenset[int]]] = field(default_factory=dict)
+    # rhs -> antecedent masks of every candidate found valid so far;
+    # consulted for minimality only when candidate-set pruning is disabled.
+    valid_by_rhs: dict[int, list[int]] = field(default_factory=dict)
     candidates_tested: int = 0
     key_resolved: int = 0
     emitted: int = 0
@@ -212,7 +221,7 @@ class _Accumulator:
 
 def compute_ofds(
     level: Sequence[LatticeNode],
-    parents: Mapping[AttrSet, LatticeNode],
+    parents: Mapping[int, LatticeNode],
     relation: Relation,
     ontology: Ontology,
     cfg: DiscoveryConfig,
@@ -240,35 +249,40 @@ def compute_ofds(
     prune = cfg.opt2 and cfg.opt3
     emitted: list[Ofd] = []
     for node in level:
-        plan = apply_optimizations(node, parents, cfg)
-        for a in plan.test:
-            lhs = plan.lhs_of[a]
+        examine, key_resolved, key_parents = apply_optimizations(node, parents, cfg)
+        attrs = node.attrs
+        mask = node.mask
+        for i, a in enumerate(attrs):
+            bit = 1 << a
+            if not examine & bit:
+                continue
             acc.candidates_tested += 1
-            if a in plan.key_resolved:
+            if key_resolved & bit:
                 acc.key_resolved += 1
                 satisfied: int | None = n
             else:
                 satisfied = agreement(
-                    tables[a], parents[lhs].part.classes, cfg.tau, plan.equal_fast_path
+                    tables[a], parents[mask ^ bit].part.classes, cfg.tau, cfg.opt4
                 )
             if satisfied is None:
                 continue
             sup = 1.0 if n == 0 else satisfied / n
+            lhs = attrs[:i] + attrs[i + 1:]
             if cfg.opt2:
                 emitted.append(Ofd(lhs, a, cfg.kind, sup))
-                node.candidates.discard(a)
+                node.candidates &= ~bit
             else:
-                lhs_set = frozenset(lhs)
-                minimal = not any(
-                    prior < lhs_set for prior in acc.valid_by_rhs.get(a, ())
-                )
-                acc.valid_by_rhs.setdefault(a, []).append(lhs_set)
-                if minimal:
+                lhs_mask = mask ^ bit
+                valid = acc.valid_by_rhs.setdefault(a, [])
+                if not any(
+                    prior != lhs_mask and not prior & ~lhs_mask for prior in valid
+                ):
                     emitted.append(Ofd(lhs, a, cfg.kind, sup))
+                valid.append(lhs_mask)
         if node.is_superkey:
-            if not any(parents[lhs].is_superkey for lhs in plan.lhs_of.values()):
-                acc.keys_found.append(node.attrs)
-            elif prune and node.candidates.isdisjoint(node.attrs):
+            if not key_parents:
+                acc.keys_found.append(attrs)
+            elif prune and not node.candidates & mask:
                 node.dead = True
                 acc.pruned += 1
     acc.ofds.extend(emitted)
@@ -293,6 +307,7 @@ def discover(
     if n_attrs == 0:
         raise ValueError("relation must have a non-empty schema")
     acc = _Accumulator()
+    everything = (1 << n_attrs) - 1
     level: list[LatticeNode] = []
     for a in range(n_attrs):
         if base_partitions is not None:
@@ -300,11 +315,11 @@ def discover(
             part: NodePartition = strip(full) if cfg.stripped else full
         else:
             part = _node_partition(relation, (a,), cfg)
-        level.append(LatticeNode((a,), part, set(range(n_attrs))))
+        level.append(LatticeNode((a,), 1 << a, part, everything))
     acc.keys_found.extend(node.attrs for node in level if node.is_superkey)
     node_size = 1
     per_level: list[LevelStats] = []
-    parents: dict[AttrSet, LatticeNode] = {}
+    parents: dict[int, LatticeNode] = {}
     product_seconds = 0.0
     while level:
         if node_size >= 2:
@@ -328,7 +343,7 @@ def discover(
             )
         if cfg.max_level is not None and node_size > cfg.max_level:
             break
-        parents = {node.attrs: node for node in level}
+        parents = {node.mask: node for node in level}
         started = time.perf_counter()
         level = calculate_next_level(level, relation, cfg)
         product_seconds = time.perf_counter() - started

@@ -190,10 +190,12 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
     """Load an ontology from a JSON document.
 
     Expected shape: ``{"classes": [{"id": ..., "synonyms": [...],
-    "parents": [...]}, ...]}`` with ``parents`` optional; ``synonyms`` and
-    ``parents`` must be lists.  Synonym strings are trimmed of surrounding
-    whitespace and may not be empty after trimming; cell values are never
-    trimmed.  Bytes that are not UTF-8 raise ``OntologyError``.
+    "parents": [...]}, ...]}`` with ``parents`` optional; ``id`` must be a
+    string, and ``synonyms`` and ``parents`` lists of strings.  Synonym
+    strings are trimmed of surrounding whitespace and may not be empty after
+    trimming; cell values are never trimmed.  Bytes that are not UTF-8 and
+    JSON nested deeper than the parser's recursion limit raise
+    ``OntologyError``.
     """
     try:
         if isinstance(source, (str, Path)):
@@ -203,19 +205,26 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
             document = json.load(source)
     except UnicodeDecodeError as exc:
         raise OntologyError(f"ontology is not valid UTF-8: {exc.reason}") from None
+    except RecursionError:
+        raise OntologyError("ontology JSON is nested too deeply") from None
     if not isinstance(document, dict) or not isinstance(document.get("classes", []), list):
         raise OntologyError("ontology document must be an object with a 'classes' list")
     classes = []
     for entry in document.get("classes", []):
         if not isinstance(entry, dict) or "id" not in entry:
             raise OntologyError("each class entry must be an object with an 'id'")
-        class_id = str(entry["id"])
+        class_id = entry["id"]
+        if not isinstance(class_id, str):
+            raise OntologyError(f"class id must be a string, not {class_id!r}")
         for key in ("synonyms", "parents"):
-            if not isinstance(entry.get(key, []), list):
+            values = entry.get(key, [])
+            if not isinstance(values, list):
                 raise OntologyError(f"class {class_id!r}: {key!r} must be a list")
-        synonyms = frozenset(str(s).strip() for s in entry.get("synonyms", []))
+            if not all(isinstance(v, str) for v in values):
+                raise OntologyError(f"class {class_id!r}: {key!r} must hold strings only")
+        synonyms = frozenset(s.strip() for s in entry.get("synonyms", []))
         if "" in synonyms:
             raise OntologyError(f"class {class_id!r}: a synonym is empty after trimming")
-        parents = frozenset(str(p) for p in entry.get("parents", []))
+        parents = frozenset(entry.get("parents", []))
         classes.append(OntologyClass(id=class_id, synonyms=synonyms, parents=parents))
     return Ontology(classes, case_insensitive=case_insensitive)

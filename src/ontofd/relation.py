@@ -133,7 +133,8 @@ def load_relation(
     With ``header`` the first row becomes the schema; otherwise attribute
     names ``A1..An`` are synthesized from the first data row's width.  A
     byte-order mark at the start of the input is dropped.  Bytes that are not
-    UTF-8 raise ``RelationError``.
+    UTF-8, an empty first row, and a field longer than the ``csv`` module's
+    limit (131,072 characters by default) raise ``RelationError``.
     """
     try:
         if isinstance(source, (str, Path)):
@@ -144,11 +145,16 @@ def load_relation(
         raise RelationError(f"input is not valid UTF-8: {exc.reason}") from None
 
 
-def _parse_rows(reader: Iterable[list[str]], header: bool) -> Relation:
-    rows = [tuple(row) for row in reader]
+def _parse_rows(reader, header: bool) -> Relation:
+    try:
+        rows = [tuple(row) for row in reader]
+    except csv.Error as exc:
+        raise RelationError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise RelationError("empty input")
-    if rows[0] and rows[0][0].startswith("\ufeff"):
+    if not rows[0]:
+        raise RelationError("the first row has no cells")
+    if rows[0][0].startswith("\ufeff"):
         rows[0] = (rows[0][0][1:],) + rows[0][1:]
     if header:
         schema, data = rows[0], rows[1:]

@@ -151,11 +151,16 @@ def test_records_parse_back_into_the_discovered_set(seed, theta_or_syn, approxim
     tau = data.draw(st.integers(1, relation.n)) / relation.n if approximate else 1.0
     ofds = discover(relation, ontology, DiscoveryConfig(kind=kind, tau=tau)).ofds
     records = json.loads(to_json(ofds_to_records(ofds, schema)))
-    parsed = ofd_set_from_records(records, schema)
+    parsed = ofd_set_from_records(records, schema, kind=kind)
     want = ofd_set(kind, [(o.lhs, (o.rhs,)) for o in ofds])
     assert Counter(parsed.deps) == Counter(want.deps)
-    # an empty record list names no kind and parses as synonym
-    assert parsed.kind == (want.kind if ofds else Synonym())
+    assert parsed.kind == want.kind
+    # the records name their kind, unless there are none
+    if ofds:
+        assert ofd_set_from_records(records, schema) == parsed
+    else:
+        with pytest.raises(ValueError, match="kind"):
+            ofd_set_from_records(records, schema)
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -344,6 +349,25 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, flag):
 def test_invalid_utf8_exits_2_with_one_line(tmp_path, capsys, target):
     bad = tmp_path / "bad"
     bad.write_bytes(b"A,B\n\xff\xfe,x\n" if target == "input" else b'{"classes": ["\xff"]}')
+    paths = {"input": CLINICAL, "ontology": ONTOLOGY, target: str(bad)}
+    out = tmp_path / "never.json"
+    code = main([
+        "--input", paths["input"], "--ontology", paths["ontology"], "--output", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target, content", [
+    ("input", b"\n"),
+    ("input", b"A,B\n" + b"x" * 131_073 + b",y\n"),
+    ("ontology", b'{"classes": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+    ("ontology", b'{"classes": [{"id": ["x"], "synonyms": [5]}]}'),
+], ids=["blank-header", "oversized-field", "deep-json", "non-string-id"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, target, content):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
     paths = {"input": CLINICAL, "ontology": ONTOLOGY, target: str(bad)}
     out = tmp_path / "never.json"
     code = main([

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from ontofd.inference import (
+    OfdSet,
     closure,
     implies,
     minimal_cover,
@@ -183,6 +184,19 @@ def test_records_round_trip_rejects_mixed_kinds():
     assert single.deps == (((0,), frozenset({1})),)
     with pytest.raises(ValueError, match="unknown attribute"):
         ofd_set_from_records([{"lhs": ["zz"], "rhs": "b", "kind": "synonym"}], schema)
+
+
+def test_records_parse_with_a_given_kind():
+    schema = ["a", "b"]
+    # an empty list carries no kind, so it takes the one given or none
+    assert ofd_set_from_records([], schema, kind=Inheritance(2)) == OfdSet(Inheritance(2), ())
+    with pytest.raises(ValueError, match="kind"):
+        ofd_set_from_records([], schema)
+    records = [{"lhs": ["a"], "rhs": "b", "kind": "inheritance", "theta": 1, "support": 1.0}]
+    assert ofd_set_from_records(records, schema, kind=Inheritance(1)).kind == Inheritance(1)
+    for other in (Synonym(), Inheritance(2)):
+        with pytest.raises(ValueError, match="kind"):
+            ofd_set_from_records(records, schema, kind=other)
 
 
 def test_empty_rhs_rejected():

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ontofd.lattice import (
     DiscoveryConfig,
@@ -19,8 +19,9 @@ from ontofd.relation import attr_set, partition, relation_from_rows, strip
 from ontofd.verify import Inheritance, Synonym
 
 from conftest import CC, CTRY, DIAG, ID, MED, SYMP
-from gen import random_instance, synth_ontology, synth_relation
+from gen import VOCAB, random_instance, random_ontology, synth_ontology, synth_relation
 from oracle import brute_discover, brute_discover_approx, brute_minimal_keys
+from test_verify import SURFACE, ontologies
 
 # Frozen from the enumerate-and-minimize oracle over the clinical sample.
 CLINICAL_SYNONYM = {
@@ -81,9 +82,13 @@ def test_single_attribute_relation_has_no_candidates():
     assert result.ofds == [] and result.per_level == []
 
 
+def mask_of(attrs):
+    return sum(1 << a for a in set(attrs))
+
+
 def make_nodes(relation, cfg, attr_sets):
     return [
-        LatticeNode(attr_set(x), strip(partition(relation, attr_set(x))))
+        LatticeNode(attr_set(x), mask_of(x), strip(partition(relation, attr_set(x))))
         for x in attr_sets
     ]
 
@@ -159,18 +164,24 @@ def test_minimal_key_with_no_own_candidates_stays_alive():
 
 def test_superkey_plan_skips_verification(clinical, clinical_ontology):
     cfg = DiscoveryConfig(kind=Synonym())
+    everything = mask_of(range(6))
     # node {id, CC}: the antecedent {id} is a key, so candidate CC is
     # resolved without touching the ontology
     parents = {
-        (ID,): LatticeNode((ID,), strip(partition(clinical, (ID,))), {0, 1, 2, 3, 4, 5}),
-        (CC,): LatticeNode((CC,), strip(partition(clinical, (CC,))), {0, 1, 2, 3, 4, 5}),
+        mask_of(x): LatticeNode(x, mask_of(x), strip(partition(clinical, x)), everything)
+        for x in ((ID,), (CC,))
     }
-    node = LatticeNode((ID, CC), strip(partition(clinical, (ID, CC))), {0, 1, 2, 3, 4, 5})
-    plan = apply_optimizations(node, parents, cfg)
-    assert CC in plan.key_resolved      # lhs {id} is a superkey
-    assert ID not in plan.key_resolved  # lhs {CC} is not
-    no_opt3 = apply_optimizations(node, parents, DiscoveryConfig(kind=Synonym(), opt3=False))
-    assert not no_opt3.key_resolved
+    node = LatticeNode((ID, CC), mask_of((ID, CC)), strip(partition(clinical, (ID, CC))), everything)
+    examine, key_resolved, key_parents = apply_optimizations(node, parents, cfg)
+    assert examine == mask_of((ID, CC))
+    assert key_resolved >> CC & 1       # lhs {id} is a superkey
+    assert not key_resolved >> ID & 1   # lhs {CC} is not
+    assert key_parents == 1 << CC
+    _, unresolved, still_keys = apply_optimizations(
+        node, parents, DiscoveryConfig(kind=Synonym(), opt3=False)
+    )
+    assert not unresolved
+    assert still_keys == key_parents
 
 
 def test_discovery_equals_oracle_on_random_instances():
@@ -194,6 +205,51 @@ def test_all_flag_combinations_agree():
             if reference is None:
                 reference = got
             assert got == reference
+
+
+@st.composite
+def lattice_instances(draw):
+    ontology = draw(ontologies())
+    # SURFACE holds polysemous values and one the ontology does not know;
+    # the k values are unknown too and make keys more frequent
+    values = SURFACE + ["k0", "k1", "k2"]
+    pools = draw(st.lists(
+        st.lists(st.sampled_from(values), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=8,
+    ))
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), max_size=10))
+    relation = relation_from_rows([f"A{i}" for i in range(len(pools))], rows)
+    kind = draw(st.sampled_from([Synonym()] + [Inheritance(theta) for theta in range(4)]))
+    return relation, ontology, kind
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lattice_instances())
+@example((relation_from_rows(["a", "b", "c"], []), Ontology([]), Synonym()))
+@example((relation_from_rows(["a"], [("x",), ("y",), ("x",)]), Ontology([]), Inheritance(1)))
+def test_discovery_equals_brute_force(instance):
+    relation, ontology, kind = instance
+    result = discover(relation, ontology, DiscoveryConfig(kind=kind))
+    assert as_pairs(result) == brute_discover(relation, ontology, kind)
+    assert result.keys_found == sorted(brute_minimal_keys(relation), key=lambda k: (len(k), k))
+
+
+def test_seventy_columns_at_level_one():
+    # attributes past bit 63 must not wrap or collide in the lattice's masks
+    rng = random.Random(70)
+    ontology = random_ontology(rng)
+    pools = [rng.sample(VOCAB, rng.randint(1, 4)) for _ in range(70)]
+    rows = [[rng.choice(pool) for pool in pools] for _ in range(12)]
+    for row in rows:
+        row[69] = row[3]
+        row[66] = row[1] + "-" + row[2]
+    relation = relation_from_rows([f"A{i}" for i in range(70)], rows)
+    for kind in (Synonym(), Inheritance(1)):
+        result = discover(relation, ontology, DiscoveryConfig(kind=kind, max_level=1))
+        got = as_pairs(result)
+        assert got == brute_discover(relation, ontology, kind, max_lhs=1)
+        assert {(frozenset({3}), 69), (frozenset({69}), 3), (frozenset({66}), 1)} <= got
+        assert [s.nodes for s in result.per_level] == [70 * 69 // 2]
 
 
 def test_approximate_threshold_semantics():
@@ -275,7 +331,7 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
     cfg = DiscoveryConfig(kind=Synonym())
     n_attrs = len(clinical.schema)
     singles = {
-        (a,): LatticeNode((a,), strip(partition(clinical, (a,))), set(range(n_attrs)))
+        1 << a: LatticeNode((a,), 1 << a, strip(partition(clinical, (a,))), mask_of(range(n_attrs)))
         for a in range(n_attrs)
     }
     level2 = calculate_next_level(list(singles.values()), clinical, cfg)
@@ -287,15 +343,15 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
     assert ((CC,), CTRY) in pairs and ((CTRY,), CC) in pairs
     node_cc_ctry = next(n for n in level2 if n.attrs == (CC, CTRY))
     # both consequents found valid at this node leave its candidate set
-    assert CTRY not in node_cc_ctry.candidates
-    assert CC not in node_cc_ctry.candidates
+    assert not node_cc_ctry.candidates >> CTRY & 1
+    assert not node_cc_ctry.candidates >> CC & 1
     # downstream: {CC, SYMP} -> CTRY is not minimal and never gets tested
-    parents2 = {n.attrs: n for n in level2}
+    parents2 = {n.mask: n for n in level2}
     level3 = calculate_next_level(level2, clinical, cfg)
     tested_before = acc.candidates_tested
     compute_ofds(level3, parents2, clinical, clinical_ontology, cfg, acc)
     node3 = next(n for n in level3 if n.attrs == (CC, CTRY, SYMP))
-    assert CTRY not in node3.candidates
+    assert not node3.candidates >> CTRY & 1
     assert not any(o.rhs == CTRY for o in acc.ofds[tested_before:] if CC in o.lhs)
 
 

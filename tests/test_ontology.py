@@ -82,6 +82,23 @@ def test_load_errors_are_distinct():
     for blank in ("", "  ", "\t\n"):
         with pytest.raises(OntologyError, match="empty after trimming"):
             make([{"id": "A", "synonyms": ["x", blank]}])
+    # str() would turn these into the strings "['x']", "5" and "None"
+    for entry, what in (
+        ({"id": ["x"], "synonyms": ["a"]}, "class id"),
+        ({"id": 5, "synonyms": ["a"]}, "class id"),
+        ({"id": None, "synonyms": ["a"]}, "class id"),
+        ({"id": "A", "synonyms": [5]}, "'synonyms'"),
+        ({"id": "A", "synonyms": ["x", ["y"]]}, "'synonyms'"),
+        ({"id": "A", "synonyms": ["x"], "parents": [None]}, "'parents'"),
+    ):
+        with pytest.raises(OntologyError, match=f"{what} must .*string"):
+            make([entry, {"id": "5", "synonyms": ["z"]}])
+
+
+def test_deeply_nested_document_is_rejected():
+    text = '{"classes": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(OntologyError, match="nested too deeply"):
+        load_ontology(io.StringIO(text))
 
 
 def test_ancestor_chain_distances():

@@ -45,6 +45,16 @@ def test_load_errors():
         load_relation(io.StringIO("a,a\n1,2\n"))
     with pytest.raises(RelationError, match="not valid UTF-8"):
         load_relation(io.TextIOWrapper(io.BytesIO(b"a,b\n\xff,2\n"), encoding="utf-8"))
+    # a blank first line is a header without attributes
+    for header in (True, False):
+        with pytest.raises(RelationError, match="first row has no cells"):
+            load_relation(io.StringIO("\n"), header=header)
+        with pytest.raises(RelationError, match="first row has no cells"):
+            load_relation(io.StringIO("\na,b\n1,2\n"), header=header)
+    # the csv module's field size limit, 131,072 characters
+    with pytest.raises(RelationError, match="line 3: field larger than field limit"):
+        load_relation(io.StringIO("a,b\n1,2\n" + "x" * 131_073 + ",3\n"))
+    assert load_relation(io.StringIO("a\n" + "x" * 131_072 + "\n")).rows == (("x" * 131_072,),)
 
 
 def test_leading_bom_is_dropped(tmp_path):
