@@ -15,7 +15,6 @@ from .relation import (
     Partition,
     Relation,
     RelationError,
-    StrippedPartition,
     attr_set,
     load_relation,
     partition,
@@ -51,7 +50,6 @@ __all__ = [
     "Partition",
     "Relation",
     "RelationError",
-    "StrippedPartition",
     "SupportOutcome",
     "Synonym",
     "VerifyOutcome",

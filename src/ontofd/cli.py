@@ -17,7 +17,7 @@ from typing import Sequence
 from .inference import kind_label
 from .lattice import DiscoveryConfig, discover
 from .ontology import Ontology, OntologyError, load_ontology
-from .relation import Relation, RelationError, load_relation, partition
+from .relation import Relation, RelationError, load_relation
 from .repair import CellChange, ViolationReport, inject_errors, report_violations
 from .verify import Inheritance, Ofd, Synonym
 
@@ -188,6 +188,9 @@ def run(cfg: RunConfig) -> int:
         if path is not None and not Path(path).parent.is_dir():
             print(f"error: directory of {path!r} does not exist", file=sys.stderr)
             return 2
+        if path is not None and Path(path).is_dir():
+            print(f"error: {path!r} is a directory", file=sys.stderr)
+            return 2
     try:
         relation = load_relation(cfg.input_path)
         ontology = load_ontology(cfg.ontology_path)
@@ -207,7 +210,6 @@ def run(cfg: RunConfig) -> int:
     if cfg.mode in ("inh", "both"):
         kinds.append(Inheritance(cfg.theta or 0))
 
-    base = [partition(relation, (a,)) for a in range(len(relation.schema))]
     all_ofds: list[Ofd] = []
     stats_rows: list[dict] = []
     for kind in kinds:
@@ -220,7 +222,7 @@ def run(cfg: RunConfig) -> int:
             opt4=cfg.opt4,
             stripped=cfg.stripped,
         )
-        result = discover(relation, ontology, disc_cfg, base_partitions=base)
+        result = discover(relation, ontology, disc_cfg)
         all_ofds.extend(result.ofds)
         for stats in result.per_level:
             stats_rows.append(
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-opt4", action="store_true",
                         help="disable the equal-values shortcut")
     parser.add_argument("--no-strip", action="store_true",
-                        help="keep singleton classes and skip partition products")
+                        help="keep singleton classes in the partitions")
     parser.add_argument("--report-violations", action="store_true")
     parser.add_argument("--inject-errors", type=float, default=None, metavar="RATE")
     parser.add_argument("--seed", type=int, default=0)

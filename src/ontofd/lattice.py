@@ -7,7 +7,9 @@ set ``C+(X)`` of a node is the intersection of its parents' candidate sets;
 an attribute is dropped from it when the corresponding dependency is found to
 hold, which silently prunes every non-minimal superset candidate downstream.
 Verification of ``(X \\ A) -> A`` uses the parent node's partition, built
-once per node by refining a parent's partition by the node's last attribute.
+once per node by refining a parent's partition by the node's last attribute
+(level 1 refines the class of all tuples); ``DiscoveryConfig.least`` is the
+smallest class kept, 2 for stripped partitions.
 
 Attribute sets and candidate sets are ``int`` bitmasks, bit ``a`` standing
 for attribute ``a``, as in TANE; Python ints are unbounded, so any width
@@ -31,21 +33,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .ontology import Ontology
-from .relation import (
-    AttrSet,
-    Partition,
-    Relation,
-    StrippedPartition,
-    partition,
-    refine,
-    strip,
-)
+from .relation import AttrSet, Partition, Relation, partition, refine
 from .verify import Inheritance, Ofd, OfdKind, Synonym, agreement, sense_table
-
-NodePartition = Union[Partition, StrippedPartition]
 
 
 @dataclass
@@ -73,6 +65,11 @@ class DiscoveryConfig:
             raise ValueError("max_level must be at least 1")
         if not isinstance(self.kind, (Synonym, Inheritance)):
             raise ValueError("kind must be Synonym or Inheritance")
+
+    @property
+    def least(self) -> int:
+        """Smallest class size kept in node partitions: 2 strips them."""
+        return 2 if self.stripped else 1
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ class LatticeNode:
 
     __slots__ = ("attrs", "mask", "part", "candidates", "is_superkey", "dead")
 
-    def __init__(self, attrs: AttrSet, mask: int, part: NodePartition, candidates: int = 0):
+    def __init__(self, attrs: AttrSet, mask: int, part: Partition, candidates: int = 0):
         self.attrs = attrs
         self.mask = mask
         self.part = part
@@ -123,12 +120,6 @@ class DiscoveryResult:
     keys_found: list[AttrSet]
 
 
-def _node_partition(relation: Relation, attrs: AttrSet, cfg: DiscoveryConfig) -> NodePartition:
-    if cfg.stripped:
-        return strip(partition(relation, attrs))
-    return partition(relation, attrs)
-
-
 def calculate_next_level(
     current: Sequence[LatticeNode], relation: Relation, cfg: DiscoveryConfig
 ) -> list[LatticeNode]:
@@ -138,9 +129,9 @@ def calculate_next_level(
     ``current`` must be in ``attrs`` order, and then so is the result: the
     prefix blocks come in prefix order and each block in order of its last
     attribute, so every join extends its left node in order.  A joined
-    node's stripped partition refines the left node's partition by the right
-    node's last attribute; a superkey's partition already is the identity,
-    so its children take it over unchanged.
+    node's partition refines the left node's partition by the right node's
+    last attribute; a superkey's partition already is the identity, so its
+    children take it over unchanged.
     """
     live: set[int] = set()
     blocks: dict[int, list[LatticeNode]] = {}
@@ -162,11 +153,9 @@ def calculate_next_level(
                     continue
                 attrs = left.attrs + (last,)
                 if left.is_superkey:
-                    part: NodePartition = replace(left.part, over=attrs)
-                elif cfg.stripped:
-                    part = refine(left.part, relation, last)
+                    part = replace(left.part, over=attrs)
                 else:
-                    part = partition(relation, attrs)
+                    part = refine(left.part, relation, last, cfg.least)
                 next_nodes.append(LatticeNode(attrs, left.mask | bit, part))
     return next_nodes
 
@@ -294,8 +283,6 @@ def discover(
     relation: Relation,
     ontology: Ontology,
     cfg: DiscoveryConfig,
-    *,
-    base_partitions: Sequence[Partition] | None = None,
 ) -> DiscoveryResult:
     """Complete, minimal set of dependencies holding with support >= tau.
 
@@ -308,14 +295,11 @@ def discover(
         raise ValueError("relation must have a non-empty schema")
     acc = _Accumulator()
     everything = (1 << n_attrs) - 1
-    level: list[LatticeNode] = []
-    for a in range(n_attrs):
-        if base_partitions is not None:
-            full = base_partitions[a]
-            part: NodePartition = strip(full) if cfg.stripped else full
-        else:
-            part = _node_partition(relation, (a,), cfg)
-        level.append(LatticeNode((a,), 1 << a, part, everything))
+    whole = partition(relation, ())
+    level = [
+        LatticeNode((a,), 1 << a, refine(whole, relation, a, cfg.least), everything)
+        for a in range(n_attrs)
+    ]
     acc.keys_found.extend(node.attrs for node in level if node.is_superkey)
     node_size = 1
     per_level: list[LevelStats] = []

@@ -1,10 +1,12 @@
-"""Tables, dictionary-encoded columns, attribute-set partitions, and
-stripped-partition products.
+"""Tables, dictionary-encoded columns, and attribute-set partitions.
 
 All cells are strings.  Tuple ids are 0-based row positions in file order;
 every equivalence class is stored as a sorted tuple of ids, and classes are
 ordered by their representative (smallest id), which keeps partitions and
 everything derived from them deterministic.
+
+Every partition is built by ``refine``, which splits classes by one column's
+dictionary codes, starting from the single class of all tuples.
 """
 from __future__ import annotations
 
@@ -86,7 +88,11 @@ class Relation:
 
 @dataclass(frozen=True)
 class Partition:
-    """Equivalence classes of tuple ids that agree (string equality) on ``over``."""
+    """Equivalence classes of tuple ids that agree (string equality) on ``over``.
+
+    A stripped partition leaves out the classes of one tuple, which cannot
+    violate any dependency; ``covered_count`` counts the tuples it keeps.
+    """
 
     over: AttrSet
     classes: tuple[tuple[int, ...], ...]
@@ -98,24 +104,6 @@ class Partition:
     @property
     def is_superkey(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
-
-
-@dataclass(frozen=True)
-class StrippedPartition:
-    """A partition with its size-one classes removed.
-
-    Singleton classes cannot violate any dependency over ``over``, so only
-    classes of two or more tuples are kept; ``covered_count`` is the number
-    of tuples they contain.
-    """
-
-    over: AttrSet
-    classes: tuple[tuple[int, ...], ...]
-    covered_count: int
-
-    @property
-    def is_superkey(self) -> bool:
-        return not self.classes
 
 
 def relation_from_rows(schema: Sequence[str], rows: Iterable[Sequence[str]]) -> Relation:
@@ -170,63 +158,51 @@ def _parse_rows(reader, header: bool) -> Relation:
 
 
 def partition(relation: Relation, attrs: AttrSet) -> Partition:
-    """Group tuple ids by string equality over ``attrs``.
-
-    A single attribute groups the column's dictionary codes; codes number
-    the values in order of first appearance, so those classes already come
-    ordered by their representative.
-    """
+    """Group tuple ids by string equality over ``attrs``, one-tuple classes
+    included: the class of all tuples refined by each attribute in turn."""
     for a in attrs:
         if not 0 <= a < len(relation.schema):
             raise RelationError(f"unknown attribute index {a}")
-    if len(attrs) == 1:
-        column = relation.columns[attrs[0]]
-        classes: list[list[int]] = [[] for _ in column.values]
-        for t, code in enumerate(column.codes):
-            classes[code].append(t)
-    else:
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for i, row in enumerate(relation.rows):
-            key = tuple(row[a] for a in attrs)
-            groups.setdefault(key, []).append(i)
-        classes = sorted(groups.values(), key=lambda c: c[0])
-    return Partition(attr_set(attrs), tuple(tuple(c) for c in classes))
+    part = Partition((), (tuple(range(relation.n)),) if relation.n else ())
+    for a in attr_set(attrs):
+        part = refine(part, relation, a, 1)
+    return part
 
 
-def strip(part: Partition) -> StrippedPartition:
+def strip(part: Partition) -> Partition:
     """Drop singleton classes; they cannot violate any dependency."""
-    kept = tuple(c for c in part.classes if len(c) >= 2)
-    return StrippedPartition(part.over, kept, sum(len(c) for c in kept))
+    return Partition(part.over, tuple(c for c in part.classes if len(c) >= 2))
 
 
-def _split(
-    part: StrippedPartition, label: Sequence[int], over: AttrSet
-) -> StrippedPartition:
+def _split(part: Partition, label: Sequence[int], over: AttrSet, least: int) -> Partition:
     """Split every class of ``part`` by ``label[t]``.
 
-    Groups of one tuple and tuples labelled -1 are dropped.  Classes are
-    walked in tuple order, so every group comes out sorted.  A class of two
-    tuples, the most common one deep in the lattice, needs no grouping: it
-    stays whole when both labels are equal and not -1, and vanishes
-    otherwise, since either tuple alone would be a dropped group of one.
+    Groups of fewer than ``least`` tuples and tuples labelled -1 are
+    dropped.  Classes are walked in tuple order, so every group comes out
+    sorted.  A class of one or two tuples, the most common ones deep in the
+    lattice, needs no grouping: it stays whole when its labels are equal and
+    not -1, and otherwise falls apart into its tuples alone.
     """
     out: list[tuple[int, ...]] = []
     for cls in part.classes:
-        if len(cls) == 2:
+        if len(cls) <= 2:
             first = label[cls[0]]
-            if first != -1 and first == label[cls[1]]:
-                out.append(cls)
+            if first != -1 and first == label[cls[-1]]:
+                if len(cls) >= least:
+                    out.append(cls)
+            elif least == 1:
+                out.extend([(t,) for t in cls if label[t] != -1])
             continue
         groups: dict[int, list[int]] = {}
         for t in cls:
             groups.setdefault(label[t], []).append(t)
         groups.pop(-1, None)
-        out.extend([tuple(g) for g in groups.values() if len(g) >= 2])
+        out.extend([tuple(g) for g in groups.values() if len(g) >= least])
     out.sort(key=lambda c: c[0])
-    return StrippedPartition(over, tuple(out), sum(map(len, out)))
+    return Partition(over, tuple(out))
 
 
-def product(a: StrippedPartition, b: StrippedPartition) -> StrippedPartition:
+def product(a: Partition, b: Partition) -> Partition:
     """Stripped partition over the union of attribute sets.
 
     Equals ``strip(partition(r, a.over | b.over))`` and runs in time linear
@@ -239,14 +215,14 @@ def product(a: StrippedPartition, b: StrippedPartition) -> StrippedPartition:
     for index, cls in enumerate(b.classes):
         for t in cls:
             class_of[t] = index
-    return _split(a, class_of, attr_set(a.over + b.over))
+    return _split(a, class_of, attr_set(a.over + b.over), 2)
 
 
-def refine(part: StrippedPartition, relation: Relation, a: int) -> StrippedPartition:
-    """Stripped partition over ``part.over`` plus attribute ``a``.
+def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Partition:
+    """Partition over ``part.over`` plus attribute ``a`` with the classes of
+    at least ``least`` tuples: 2 strips it, 1 keeps the one-tuple classes.
 
-    Equals ``product(part, strip(partition(relation, (a,))))``, but splits
-    each class of ``part`` by the column's dictionary codes, so it reads
-    only the tuples ``part`` covers.
+    Splits each class of ``part`` by the column's dictionary codes, so it
+    reads only the tuples ``part`` covers.
     """
-    return _split(part, relation.columns[a].codes, attr_set(part.over + (a,)))
+    return _split(part, relation.columns[a].codes, attr_set(part.over + (a,)), least)

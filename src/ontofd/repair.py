@@ -16,15 +16,7 @@ from operator import countOf
 from typing import Sequence
 
 from .ontology import Ontology, display_label
-from .relation import (
-    AttrSet,
-    Relation,
-    StrippedPartition,
-    partition,
-    refine,
-    relation_from_rows,
-    strip,
-)
+from .relation import AttrSet, Partition, Relation, partition, refine, relation_from_rows
 from .verify import Ofd, support
 
 
@@ -163,19 +155,17 @@ def inject_errors(
 
 
 def _antecedent_partition(
-    relation: Relation, lhs: AttrSet, parts: dict[AttrSet, StrippedPartition]
-) -> StrippedPartition:
+    relation: Relation, lhs: AttrSet, parts: dict[AttrSet, Partition]
+) -> Partition:
     """Stripped partition over ``lhs``, cached in ``parts`` with its prefixes.
 
-    One attribute groups the column's codes; a longer antecedent refines
-    its prefix's partition by the codes of its last attribute.
+    ``parts`` starts with the class of all tuples under ``()``; an
+    antecedent refines its prefix's partition by the codes of its last
+    attribute.
     """
     part = parts.get(lhs)
     if part is None:
-        if len(lhs) > 1:
-            part = refine(_antecedent_partition(relation, lhs[:-1], parts), relation, lhs[-1])
-        else:
-            part = strip(partition(relation, lhs))
+        part = refine(_antecedent_partition(relation, lhs[:-1], parts), relation, lhs[-1])
         parts[lhs] = part
     return part
 
@@ -195,7 +185,7 @@ def report_violations(
     violations but still get the savings statistic.
     """
     entries: list[OfdViolationEntry] = []
-    parts: dict[AttrSet, StrippedPartition] = {}
+    parts = {(): partition(relation, ())}
     for ofd in ofds:
         part = _antecedent_partition(relation, ofd.lhs, parts)
         approx = support(relation, ontology, part, ofd.rhs, ofd.kind)

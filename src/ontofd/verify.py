@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .ontology import ClassId, Ontology
-from .relation import AttrSet, EncodedColumn, Partition, Relation, StrippedPartition
+from .relation import AttrSet, EncodedColumn, Partition, Relation
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,6 @@ class Inheritance:
 
 
 OfdKind = Union[Synonym, Inheritance]
-
-AnyPartition = Union[Partition, StrippedPartition]
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class SupportOutcome:
     classes: tuple[ClassMajority, ...]
 
 
-def _check_attr(relation: Relation, part: AnyPartition, a: int) -> None:
+def _check_attr(relation: Relation, part: Partition, a: int) -> None:
     if not 0 <= a < len(relation.schema):
         raise ValueError(f"unknown attribute index {a}")
     if a in part.over:
@@ -205,7 +203,7 @@ def agreement(
     return n - lost
 
 
-def _verify(table: SenseTable, part: AnyPartition, equal_fast_path: bool) -> VerifyOutcome:
+def _verify(table: SenseTable, part: Partition, equal_fast_path: bool) -> VerifyOutcome:
     codes = table.codes.__getitem__
     failing = [
         cls for cls in part.classes
@@ -220,7 +218,7 @@ def _verify(table: SenseTable, part: AnyPartition, equal_fast_path: bool) -> Ver
     return VerifyOutcome(not witnesses, support, witnesses)
 
 
-def _support(table: SenseTable, part: AnyPartition) -> SupportOutcome:
+def _support(table: SenseTable, part: Partition) -> SupportOutcome:
     codes, senses = table.codes, table.senses
     n = len(codes)
     satisfied = n - part.covered_count
@@ -259,7 +257,7 @@ def _support(table: SenseTable, part: AnyPartition) -> SupportOutcome:
 def verify(
     relation: Relation,
     ontology: Ontology,
-    part: AnyPartition,
+    part: Partition,
     a: int,
     kind: OfdKind,
     *,
@@ -273,17 +271,11 @@ def verify(
 def support(
     relation: Relation,
     ontology: Ontology,
-    part: AnyPartition,
+    part: Partition,
     a: int,
     kind: OfdKind,
-    *,
-    equal_fast_path: bool = True,
 ) -> SupportOutcome:
-    """Support of ``part -> a`` with the majority split of every class.
-
-    ``equal_fast_path`` is accepted for symmetry with ``verify``; the split
-    is the same either way.
-    """
+    """Support of ``part -> a`` with the majority split of every class."""
     _check_attr(relation, part, a)
     return _support(sense_table(relation, ontology, a, kind), part)
 
@@ -291,7 +283,7 @@ def support(
 def verify_synonym(
     relation: Relation,
     ontology: Ontology,
-    part: AnyPartition,
+    part: Partition,
     a: int,
     *,
     equal_fast_path: bool = True,
@@ -303,7 +295,7 @@ def verify_synonym(
 def verify_inheritance(
     relation: Relation,
     ontology: Ontology,
-    part: AnyPartition,
+    part: Partition,
     a: int,
     theta: int,
     *,
@@ -318,25 +310,19 @@ def verify_inheritance(
 def support_synonym(
     relation: Relation,
     ontology: Ontology,
-    part: AnyPartition,
+    part: Partition,
     a: int,
-    *,
-    equal_fast_path: bool = True,
 ) -> SupportOutcome:
     """Support of the synonym candidate: per-class majority-sense tuple counts."""
-    return support(relation, ontology, part, a, Synonym(), equal_fast_path=equal_fast_path)
+    return support(relation, ontology, part, a, Synonym())
 
 
 def support_inheritance(
     relation: Relation,
     ontology: Ontology,
-    part: AnyPartition,
+    part: Partition,
     a: int,
     theta: int,
-    *,
-    equal_fast_path: bool = True,
 ) -> SupportOutcome:
     """Support of the inheritance candidate at the given ``theta``."""
-    return support(
-        relation, ontology, part, a, Inheritance(theta), equal_fast_path=equal_fast_path
-    )
+    return support(relation, ontology, part, a, Inheritance(theta))

@@ -332,16 +332,26 @@ def test_missing_output_directory_exits_2_before_discovery(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("flag", ["--output", "--stats"])
-def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, flag):
-    # the parent exists but the path is a directory, so the write fails
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch, flag):
+    # the parent exists but the path is a directory: the run stops before
+    # discovery and writes neither file
+    import ontofd.cli
+
+    def no_discovery(*args, **kwargs):
+        raise AssertionError("discovery ran")
+
+    monkeypatch.setattr(ontofd.cli, "discover", no_discovery)
+    target = tmp_path / "target"
+    target.mkdir()
     paths = {"--output": str(tmp_path / "out.json"), "--stats": str(tmp_path / "stats.json")}
-    paths[flag] = str(tmp_path)
+    paths[flag] = str(target)
     code = main([
         "--input", CLINICAL, "--ontology", ONTOLOGY,
         "--output", paths["--output"], "--stats", paths["--stats"],
     ])
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == 2 and list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -87,8 +87,9 @@ def mask_of(attrs):
 
 
 def make_nodes(relation, cfg, attr_sets):
+    build = strip if cfg.stripped else lambda part: part
     return [
-        LatticeNode(attr_set(x), mask_of(x), strip(partition(relation, attr_set(x))))
+        LatticeNode(attr_set(x), mask_of(x), build(partition(relation, attr_set(x))))
         for x in attr_sets
     ]
 
@@ -112,10 +113,12 @@ def test_calculate_next_level_joins_prefix_blocks():
 
 
 def test_next_level_partitions_are_products(clinical):
-    cfg = DiscoveryConfig(kind=Synonym())
-    singles = make_nodes(clinical, cfg, [(a,) for a in range(6)])
-    for node in calculate_next_level(singles, clinical, cfg):
-        assert node.part == strip(partition(clinical, node.attrs))
+    # make_nodes builds each node's (stripped or full) partition directly
+    for stripped_flag in (True, False):
+        cfg = DiscoveryConfig(kind=Synonym(), stripped=stripped_flag)
+        singles = make_nodes(clinical, cfg, [(a,) for a in range(6)])
+        for node in calculate_next_level(singles, clinical, cfg):
+            assert node.part == make_nodes(clinical, cfg, [node.attrs])[0].part
 
 
 def test_candidate_set_removal_prunes_supersets(clinical, clinical_ontology):

@@ -174,6 +174,10 @@ def test_refine_and_product_equal_direct_partition_on_pairs(r, data):
     p, q = strip(partition(r, x)), strip(partition(r, y))
     assert product(p, q) == strip(partition(r, attr_set(x + y)))
     assert refine(p, r, a) == strip(partition(r, attr_set(x + (a,))))
+    # refining a full partition builds the full one with one-tuple classes
+    # kept, and the stripped one without
+    assert refine(partition(r, x), r, a, 1) == partition(r, attr_set(x + (a,)))
+    assert refine(partition(r, x), r, a) == strip(partition(r, attr_set(x + (a,))))
 
 
 def test_pair_outside_the_other_partition_is_dropped():
@@ -193,10 +197,11 @@ def test_partition_matches_naive_grouping():
     rng = random.Random(22)
     for _ in range(30):
         r = random_relation(rng)
-        x = attr_set(rng.sample(range(len(r.schema)), 2))
-        got = [list(c) for c in partition(r, x).classes]
-        want = sorted(naive_partition(r.rows, x), key=lambda c: c[0])
-        assert got == want
+        for size in (0, 1, 2, 3):
+            x = attr_set(rng.sample(range(len(r.schema)), min(size, len(r.schema))))
+            got = [list(c) for c in partition(r, x).classes]
+            want = sorted(naive_partition(r.rows, x), key=lambda c: c[0])
+            assert got == want
 
 
 def test_class_count_monotone_in_attributes():
@@ -236,6 +241,13 @@ def test_relation_pickles_after_encoding(clinical, clinical_ontology):
     support_synonym(relation, clinical_ontology, strip(partition(relation, (CC,))), CTRY)
     copy = pickle.loads(pickle.dumps(relation))
     assert copy == relation and copy.columns[CTRY].codes == relation.columns[CTRY].codes
+
+
+def test_every_exported_name_resolves():
+    import ontofd
+
+    for name in ontofd.__all__:
+        assert getattr(ontofd, name) is not None, name
 
 
 def test_ragged_rows_rejected_by_constructor():

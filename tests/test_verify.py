@@ -244,7 +244,7 @@ def test_fast_path_flag_changes_nothing():
                 slow = verify_synonym(relation, ontology, part, rhs, equal_fast_path=False)
                 assert (fast.holds, fast.support) == (slow.holds, slow.support)
                 f = support_synonym(relation, ontology, part, rhs)
-                s = support_synonym(relation, ontology, part, rhs, equal_fast_path=False)
+                s = reference_support(relation, ontology, part, rhs, Synonym(), False)
                 assert (f.support, f.classes) == (s.support, s.classes)
 
 
@@ -358,7 +358,7 @@ def test_encoded_checks_equal_string_reference(candidate):
     args = (relation, ontology, part, 1, kind)
     assert verify(*args, equal_fast_path=fast) == reference_verify(*args, fast)
     want = reference_support(*args, fast)
-    assert support(*args, equal_fast_path=fast) == want
+    assert support(*args) == want
     # the kernel at every threshold k / n, where the early abort is tightest
     n = relation.n
     table = sense_table(relation, ontology, 1, kind)
