@@ -194,7 +194,7 @@ def run(cfg: RunConfig) -> int:
     try:
         relation = load_relation(cfg.input_path)
         ontology = load_ontology(cfg.ontology_path)
-    except (OSError, RelationError, OntologyError, json.JSONDecodeError) as exc:
+    except (OSError, RelationError, OntologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -193,9 +193,9 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
     "parents": [...]}, ...]}`` with ``parents`` optional; ``id`` must be a
     string, and ``synonyms`` and ``parents`` lists of strings.  Synonym
     strings are trimmed of surrounding whitespace and may not be empty after
-    trimming; cell values are never trimmed.  Bytes that are not UTF-8 and
-    JSON nested deeper than the parser's recursion limit raise
-    ``OntologyError``.
+    trimming; cell values are never trimmed.  Bytes that are not UTF-8, and
+    JSON that is malformed, nested deeper than the parser's recursion limit
+    or holds an integer over Python's digit limit, raise ``OntologyError``.
     """
     try:
         if isinstance(source, (str, Path)):
@@ -207,6 +207,8 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
         raise OntologyError(f"ontology is not valid UTF-8: {exc.reason}") from None
     except RecursionError:
         raise OntologyError("ontology JSON is nested too deeply") from None
+    except ValueError as exc:
+        raise OntologyError(f"ontology is not valid JSON: {exc}") from None
     if not isinstance(document, dict) or not isinstance(document.get("classes", []), list):
         raise OntologyError("ontology document must be an object with a 'classes' list")
     classes = []

@@ -16,7 +16,7 @@ from operator import countOf
 from typing import Sequence
 
 from .ontology import Ontology, display_label
-from .relation import AttrSet, Partition, Relation, partition, refine, relation_from_rows
+from .relation import AttrSet, Partition, Relation, partition, refine
 from .verify import Ofd, support
 
 
@@ -117,23 +117,21 @@ def inject_errors(
         raise ValueError("rate must be in [0, 1)")
     n = relation.n
     count = math.ceil(rate * n)
-    if count == 0:
+    target_columns = list(columns) if columns is not None else list(range(len(relation.schema)))
+    if count == 0 or n == 1 or not target_columns:
+        # With one row, no other row holds a value to draw.
         return relation, []
     rng = random.Random(seed)
-    target_columns = list(columns) if columns is not None else list(range(len(relation.schema)))
     cells = [(row, col) for col in target_columns for row in range(n)]
     chosen = rng.sample(cells, min(count, len(cells)))
-    rows = [list(row) for row in relation.rows]
+    table = [list(map(c.values.__getitem__, c.codes)) for c in relation.columns]
     # Per column: the sorted distinct values, and the position of each.
-    values = {col: sorted({row[col] for row in relation.rows}) for col in set(target_columns)}
+    values = {col: sorted(relation.columns[col].values) for col in set(target_columns)}
     position = {col: {v: i for i, v in enumerate(vals)} for col, vals in values.items()}
     sharing: dict[int, _SharedSenses] = {}
     log: list[CellChange] = []
     for row, col in sorted(chosen):
-        if n == 1:
-            # No other row holds a value to draw.
-            continue
-        old = rows[row][col]
+        old = table[col][row]
         vals = values[col]
         at = position[col][old]
         # Draw from the values that share no sense with ``old``, else from
@@ -149,9 +147,9 @@ def inject_errors(
             if len(breaking):
                 pool = breaking
         new = rng.choice(pool)
-        rows[row][col] = new
+        table[col][row] = new
         log.append(CellChange(row, col, old, new))
-    return relation_from_rows(relation.schema, rows), log
+    return Relation(relation.schema, zip(*table)), log
 
 
 def _antecedent_partition(

@@ -21,7 +21,7 @@ from ontofd.cli import (
 from ontofd.inference import ofd_set, ofd_set_from_records
 from ontofd.lattice import DiscoveryConfig, discover
 from ontofd.ontology import Ontology, OntologyClass, load_ontology
-from ontofd.relation import load_relation, relation_from_rows
+from ontofd.relation import Relation, load_relation, relation_from_rows
 from ontofd.verify import Inheritance, Ofd, Synonym
 
 from conftest import DATA
@@ -63,6 +63,21 @@ def test_both_mode_runs_two_passes(tmp_path):
     records = json.loads(out.read_text())
     kinds = {r["kind"] for r in records}
     assert code == 0 and kinds == {"synonym", "inheritance"}
+
+
+def test_engine_never_reads_rows(tmp_path, monkeypatch):
+    # The library works on the encoded columns alone; ``rows`` is a view
+    # for callers outside it.
+    def refuse(relation):
+        raise AssertionError("Relation.rows was read")
+
+    monkeypatch.setattr(Relation, "rows", property(refuse))
+    code, out = run_cli(
+        tmp_path, "--mode", "both", "--theta", "2", "--tau", "0.95", "--inject-errors", "0.05",
+        "--report-violations", "--stats", str(tmp_path / "stats.json"),
+    )
+    log = json.loads(Path(f"{out}.inject-log.json").read_text())
+    assert code == 0 and log and Path(f"{out}.violations.json").is_file()
 
 
 def test_missing_ontology_exits_2_without_output(tmp_path):
@@ -374,7 +389,10 @@ def test_invalid_utf8_exits_2_with_one_line(tmp_path, capsys, target):
     ("input", b"A,B\n" + b"x" * 131_073 + b",y\n"),
     ("ontology", b'{"classes": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
     ("ontology", b'{"classes": [{"id": ["x"], "synonyms": [5]}]}'),
-], ids=["blank-header", "oversized-field", "deep-json", "non-string-id"])
+    ("input", b"\xef\xbb\xbf\n"),
+    ("ontology", b'{"classes": [], "x": ' + b"1" * 5000 + b"}"),
+], ids=["blank-header", "oversized-field", "deep-json", "non-string-id", "bom-blank-header",
+        "huge-int"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, target, content):
     bad = tmp_path / "bad"
     bad.write_bytes(content)

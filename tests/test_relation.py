@@ -1,6 +1,7 @@
 """Table loading, partitions, stripping, and products."""
 from __future__ import annotations
 
+import csv
 import io
 import pickle
 import random
@@ -19,6 +20,7 @@ from ontofd.relation import (
     relation_from_rows,
     strip,
 )
+from ontofd.repair import inject_errors
 from ontofd.verify import support_synonym
 
 from conftest import CC, CTRY, DIAG, SYMP
@@ -39,16 +41,18 @@ def test_header_only_gives_empty_relation():
 def test_load_errors():
     with pytest.raises(RelationError, match="row 2"):
         load_relation(io.StringIO("a,b\n1,2\n3\n"))
-    with pytest.raises(RelationError, match="empty input"):
-        load_relation(io.StringIO(""))
+    for empty in ("", "\ufeff"):
+        with pytest.raises(RelationError, match="empty input"):
+            load_relation(io.StringIO(empty))
     with pytest.raises(RelationError, match="duplicate attribute"):
         load_relation(io.StringIO("a,a\n1,2\n"))
     with pytest.raises(RelationError, match="not valid UTF-8"):
         load_relation(io.TextIOWrapper(io.BytesIO(b"a,b\n\xff,2\n"), encoding="utf-8"))
     # a blank first line is a header without attributes
     for header in (True, False):
-        with pytest.raises(RelationError, match="first row has no cells"):
-            load_relation(io.StringIO("\n"), header=header)
+        for blank in ("\n", "\ufeff\n"):
+            with pytest.raises(RelationError, match="first row has no cells"):
+                load_relation(io.StringIO(blank), header=header)
         with pytest.raises(RelationError, match="first row has no cells"):
             load_relation(io.StringIO("\na,b\n1,2\n"), header=header)
     # the csv module's field size limit, 131,072 characters
@@ -66,6 +70,11 @@ def test_leading_bom_is_dropped(tmp_path):
         assert r.schema == ("A", "B") and r.rows == (("\ufeffx", "y"),)
     r = load_relation(io.StringIO("\ufeff1,2\n"), header=False)
     assert r.rows == (("1", "2"),)
+    # the mark goes before parsing, so a quote after it still opens a field
+    for text, schema in (('\ufeff"id","v"\n', ("id", "v")), ('\ufeff"a,b",c\n', ("a,b", "c"))):
+        path.write_bytes(text.encode("utf-8"))
+        for source in (path, io.StringIO(text)):
+            assert load_relation(source).schema == schema
 
 
 def test_load_without_header_and_delimiter():
@@ -243,11 +252,45 @@ def test_relation_pickles_after_encoding(clinical, clinical_ontology):
     assert copy == relation and copy.columns[CTRY].codes == relation.columns[CTRY].codes
 
 
+# Cells mixing quotes, delimiters, line breaks, blanks and non-ASCII text;
+# no NUL and no byte-order mark, which a leading cell would lose.
+CELLS = st.text(
+    st.sampled_from(['"', ",", "\n", "\r", " ", "a", "é", "字"])
+    | st.characters(blacklist_characters="\x00\ufeff", blacklist_categories=("Cs",)),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(CELLS, min_size=1, max_size=4, unique=True), st.data(), st.booleans())
+def test_loaded_csv_equals_constructed_relation(schema, data, bom):
+    row = st.lists(CELLS, min_size=len(schema), max_size=len(schema))
+    rows = data.draw(st.lists(row, max_size=8))
+    text = io.StringIO()
+    csv.writer(text).writerows([schema, *rows])
+    loaded = load_relation(io.StringIO("\ufeff" * bom + text.getvalue()))
+    built = relation_from_rows(schema, rows)
+    # pickled before ``rows`` is read, so the copy decodes its own
+    copy = pickle.loads(pickle.dumps(loaded))
+    assert loaded.schema == built.schema == copy.schema == tuple(schema)
+    assert loaded.n == built.n == len(rows)
+    assert loaded.rows == built.rows == copy.rows == tuple(map(tuple, rows))
+    for got, want in zip(loaded.columns, built.columns, strict=True):
+        assert got.codes == want.codes and got.values == want.values
+    assert loaded == built == copy
+
+
 def test_every_exported_name_resolves():
     import ontofd
 
     for name in ontofd.__all__:
         assert getattr(ontofd, name) is not None, name
+
+
+def test_relation_without_attributes_keeps_its_rows():
+    r = relation_from_rows([], [(), ()])
+    assert r.n == 2 and r.rows == ((), ()) and r.columns == ()
+    assert inject_errors(r, 0.5, seed=0) == (r, [])
 
 
 def test_ragged_rows_rejected_by_constructor():
