@@ -15,10 +15,17 @@ from pathlib import Path
 from typing import Sequence
 
 from .inference import kind_label
-from .lattice import DiscoveryConfig, discover
-from .ontology import Ontology, OntologyError, load_ontology
-from .relation import Relation, RelationError, load_relation
-from .repair import CellChange, ViolationReport, inject_errors, report_violations
+from .lattice import DiscoveryConfig, discover, ofd_order
+from .ontology import OntologyError, load_ontology
+from .relation import Partition, Relation, RelationError, load_relation
+from .repair import (  # noqa: F401 - report_violations stays importable from here
+    CellChange,
+    OfdViolationEntry,
+    ViolationReport,
+    inject_errors,
+    report_violations,
+    violation_entry,
+)
 from .verify import Inheritance, Ofd, Synonym
 
 
@@ -211,7 +218,13 @@ def run(cfg: RunConfig) -> int:
         kinds.append(Inheritance(cfg.theta or 0))
 
     all_ofds: list[Ofd] = []
+    entries: list[OfdViolationEntry] = []
     stats_rows: list[dict] = []
+
+    def report(ofd: Ofd, part: Partition) -> None:
+        # The report takes each antecedent partition while discovery holds it.
+        entries.append(violation_entry(relation, ontology, ofd, part))
+
     for kind in kinds:
         disc_cfg = DiscoveryConfig(
             kind=kind,
@@ -222,8 +235,13 @@ def run(cfg: RunConfig) -> int:
             opt4=cfg.opt4,
             stripped=cfg.stripped,
         )
-        result = discover(relation, ontology, disc_cfg)
+        start = len(entries)
+        result = discover(
+            relation, ontology, disc_cfg, on_ofd=report if cfg.report_violations else None
+        )
         all_ofds.extend(result.ofds)
+        # Entries arrive level by level; put them in the order of ``result.ofds``.
+        entries[start:] = sorted(entries[start:], key=lambda entry: ofd_order(entry.ofd))
         for stats in result.per_level:
             stats_rows.append(
                 {
@@ -236,11 +254,12 @@ def run(cfg: RunConfig) -> int:
                     "ofds": stats.ofds,
                     "seconds": stats.seconds,
                     "product_seconds": stats.product_seconds,
+                    "report_seconds": stats.report_seconds,
                 }
             )
 
     try:
-        _write_artifacts(cfg, relation, ontology, all_ofds, stats_rows, inject_log)
+        _write_artifacts(cfg, relation, all_ofds, entries, stats_rows, inject_log)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -250,8 +269,8 @@ def run(cfg: RunConfig) -> int:
 def _write_artifacts(
     cfg: RunConfig,
     relation: Relation,
-    ontology: Ontology,
     all_ofds: list[Ofd],
+    entries: list[OfdViolationEntry],
     stats_rows: list[dict],
     inject_log: list[CellChange],
 ) -> None:
@@ -273,7 +292,7 @@ def _write_artifacts(
         _write(cfg.output_path + ".inject-log.json", to_json(log_records) + "\n")
 
     if cfg.report_violations:
-        report = report_violations(relation, ontology, all_ofds)
+        report = ViolationReport(tuple(entries))
         report_json = to_json(violation_report_to_records(report, relation.schema)) + "\n"
         violations_path = None if cfg.output_path is None else cfg.output_path + ".violations.json"
         _write(violations_path, report_json)

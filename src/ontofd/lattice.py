@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .ontology import Ontology
 from .relation import AttrSet, Partition, Relation, partition, refine
@@ -82,6 +82,8 @@ class LevelStats:
     without a call to the kernel.  ``seconds`` is the time spent testing the
     level's candidates and ``product_seconds`` the time
     ``calculate_next_level`` spent building its nodes and their partitions.
+    ``report_seconds`` is the time ``discover``'s ``on_ofd`` hook took over
+    the level's dependencies, 0.0 without a hook.
     """
 
     level: int
@@ -92,6 +94,7 @@ class LevelStats:
     pruned: int
     product_seconds: float
     key_resolved: int
+    report_seconds: float
 
 
 class LatticeNode:
@@ -279,16 +282,28 @@ def compute_ofds(
     return emitted
 
 
+def ofd_order(ofd: Ofd) -> tuple:
+    """Sort key of discovered dependencies: antecedent size, antecedent,
+    consequent index."""
+    return len(ofd.lhs), ofd.lhs, ofd.rhs
+
+
 def discover(
     relation: Relation,
     ontology: Ontology,
     cfg: DiscoveryConfig,
+    *,
+    on_ofd: Callable[[Ofd, Partition], object] | None = None,
 ) -> DiscoveryResult:
     """Complete, minimal set of dependencies holding with support >= tau.
 
     Antecedents are non-empty attribute sets; the consequent never appears in
-    the antecedent.  Output is sorted by antecedent size, then antecedent,
-    then consequent index.
+    the antecedent.  Output is sorted by ``ofd_order``.
+
+    ``on_ofd(ofd, part)`` is called for each dependency as its level is
+    found, with ``part`` the antecedent's partition (stripped unless
+    ``cfg.stripped`` is off), so a caller can use it before the level is
+    dropped.  Calls come in discovery order, not in output order.
     """
     n_attrs = len(relation.schema)
     if n_attrs == 0:
@@ -312,17 +327,25 @@ def discover(
             acc.key_resolved = 0
             acc.emitted = 0
             acc.pruned = 0
-            compute_ofds(level, parents, relation, ontology, cfg, acc)
+            emitted = compute_ofds(level, parents, relation, ontology, cfg, acc)
+            seconds = time.perf_counter() - started
+            report_seconds = 0.0
+            if on_ofd is not None:
+                started = time.perf_counter()
+                for ofd in emitted:
+                    on_ofd(ofd, parents[sum(1 << a for a in ofd.lhs)].part)
+                report_seconds = time.perf_counter() - started
             per_level.append(
                 LevelStats(
                     node_size - 1,
                     acc.candidates_tested,
                     acc.emitted,
-                    time.perf_counter() - started,
+                    seconds,
                     len(level),
                     acc.pruned,
                     product_seconds,
                     acc.key_resolved,
+                    report_seconds,
                 )
             )
         if cfg.max_level is not None and node_size > cfg.max_level:
@@ -332,6 +355,6 @@ def discover(
         level = calculate_next_level(level, relation, cfg)
         product_seconds = time.perf_counter() - started
         node_size += 1
-    acc.ofds.sort(key=lambda o: (len(o.lhs), o.lhs, o.rhs))
+    acc.ofds.sort(key=ofd_order)
     acc.keys_found.sort(key=lambda k: (len(k), k))
     return DiscoveryResult(acc.ofds, per_level, acc.keys_found)

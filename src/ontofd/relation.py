@@ -87,6 +87,11 @@ class Relation:
         columns = tuple(EncodedColumn(tuple(c), tuple(i)) for c, i in zip(codes, indexes))
         self.__dict__.update(schema=schema, n=n, columns=columns)  # frozen
 
+    def __getstate__(self) -> dict:
+        # The memoised ``rows`` shares ``__dict__`` with the fields; leave
+        # it out so a pickle is the same whether or not it was read.
+        return {"schema": self.schema, "n": self.n, "columns": self.columns}
+
     @cached_property
     def rows(self) -> tuple[tuple[str, ...], ...]:
         """The cells as row tuples, decoded from the columns on first read."""

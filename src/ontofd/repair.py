@@ -2,9 +2,9 @@
 
 ``report_violations`` splits every class that breaks a dependency into the
 tuples agreeing on its majority sense and a minority, and suggests a repair
-for the minority.  It works on the relation's dictionary-encoded columns:
-each distinct antecedent's stripped partition is built once from codes, and
-values are compared by code.  ``inject_errors`` perturbs cells to plant
+for the minority.  It works on the relation's dictionary-encoded columns
+and compares values by code; one pass over an antecedent's partition builds
+a dependency's entry.  ``inject_errors`` perturbs cells to plant
 violations for recall experiments.
 """
 from __future__ import annotations
@@ -16,8 +16,8 @@ from operator import countOf
 from typing import Sequence
 
 from .ontology import Ontology, display_label
-from .relation import AttrSet, Partition, Relation, partition, refine
-from .verify import Ofd, support
+from .relation import Partition, Relation, partition, strip
+from .verify import Ofd, check_attr, class_splits, sense_table
 
 
 @dataclass(frozen=True)
@@ -152,20 +152,39 @@ def inject_errors(
     return Relation(relation.schema, zip(*table)), log
 
 
-def _antecedent_partition(
-    relation: Relation, lhs: AttrSet, parts: dict[AttrSet, Partition]
-) -> Partition:
-    """Stripped partition over ``lhs``, cached in ``parts`` with its prefixes.
+def violation_entry(
+    relation: Relation, ontology: Ontology, ofd: Ofd, part: Partition
+) -> OfdViolationEntry:
+    """The report entry of ``ofd`` from ``part``, its antecedent's partition.
 
-    ``parts`` starts with the class of all tuples under ``()``; an
-    antecedent refines its prefix's partition by the codes of its last
-    attribute.
+    ``part`` may keep or drop its one-tuple classes: such a class agrees
+    with itself and adds the same to every total either way.
     """
-    part = parts.get(lhs)
-    if part is None:
-        part = refine(_antecedent_partition(relation, lhs[:-1], parts), relation, lhs[-1])
-        parts[lhs] = part
-    return part
+    table = sense_table(relation, ontology, ofd.rhs, ofd.kind)
+    codes, values = table.codes, table.values
+    violations: list[ClassViolation] = []
+    satisfied = relation.n - part.covered_count
+    unequal = 0
+    for cls, sense, members, others in class_splits(table, part.classes):
+        # Every value has a sense, so a class's majority is never empty;
+        # members keep the class order, so the first is the smallest id.
+        canonical = codes[members[0]]
+        satisfied += len(members)
+        unequal += len(members) - countOf(map(codes.__getitem__, members), canonical)
+        if others:
+            violations.append(
+                ClassViolation(
+                    representative=cls[0],
+                    majority_sense=display_label(table.names[sense]),
+                    majority_tuples=members,
+                    minority_tuples=others,
+                    minority_values=tuple(values[codes[t]] for t in others),
+                    suggested_value=values[canonical],
+                )
+            )
+    support = 1.0 if relation.n == 0 else satisfied / relation.n
+    savings = unequal / satisfied if satisfied else 0.0
+    return OfdViolationEntry(ofd, support, tuple(violations), savings)
 
 
 def report_violations(
@@ -180,38 +199,13 @@ def report_violations(
     the consequent value of the smallest-id majority tuple as the suggested
     repair.  A class fails the exact check exactly when its majority split
     leaves a non-empty minority.  Dependencies that hold exactly produce no
-    violations but still get the savings statistic.
+    violations but still get the savings statistic.  Each antecedent's
+    stripped partition is built here; ``discover`` can instead hand its own
+    to ``violation_entry`` (see its ``on_ofd`` hook).
     """
     entries: list[OfdViolationEntry] = []
-    parts = {(): partition(relation, ())}
     for ofd in ofds:
-        part = _antecedent_partition(relation, ofd.lhs, parts)
-        approx = support(relation, ontology, part, ofd.rhs, ofd.kind)
-        column = relation.columns[ofd.rhs]
-        codes, values = column.codes, column.values
-        violations: list[ClassViolation] = []
-        satisfying_total = relation.n - part.covered_count
-        unequal_total = 0
-        for cls in approx.classes:
-            # Every value has a sense, so a class's majority is never empty;
-            # members are sorted, so the first is the smallest id.
-            members = cls.members
-            canonical = codes[members[0]]
-            satisfying_total += len(members)
-            unequal_total += len(members) - countOf(map(codes.__getitem__, members), canonical)
-            if cls.others:
-                violations.append(
-                    ClassViolation(
-                        representative=cls.representative,
-                        majority_sense=display_label(cls.sense),
-                        majority_tuples=members,
-                        minority_tuples=cls.others,
-                        minority_values=tuple(values[codes[t]] for t in cls.others),
-                        suggested_value=values[canonical],
-                    )
-                )
-        savings = unequal_total / satisfying_total if satisfying_total else 0.0
-        entries.append(
-            OfdViolationEntry(ofd, approx.support, tuple(violations), savings)
-        )
+        part = strip(partition(relation, ofd.lhs))
+        check_attr(relation, part, ofd.rhs)
+        entries.append(violation_entry(relation, ontology, ofd, part))
     return ViolationReport(tuple(entries))

@@ -13,7 +13,8 @@ sense ids, so a class is decided from its codes and their multiplicities.
 ``agreement`` is the one kernel behind both exact and approximate checks;
 discovery calls it directly and it stops as soon as the answer is known.
 The public ``verify*`` and ``support*`` functions scan every class and
-build the witnesses and majority splits.
+build the witnesses and majority splits; ``class_splits`` is the one
+majority split, shared by ``support`` and the violation report.
 
 Most classes deep in the lattice hold two tuples, and those are decided in
 closed form.  Every value has at least one sense, so a pair agrees when its
@@ -25,7 +26,7 @@ tuples need a majority count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .ontology import ClassId, Ontology
 from .relation import AttrSet, EncodedColumn, Partition, Relation
@@ -101,7 +102,9 @@ class SupportOutcome:
     classes: tuple[ClassMajority, ...]
 
 
-def _check_attr(relation: Relation, part: Partition, a: int) -> None:
+def check_attr(relation: Relation, part: Partition, a: int) -> None:
+    """Reject a consequent that is no attribute of ``relation`` or lies in
+    ``part``'s antecedent."""
     if not 0 <= a < len(relation.schema):
         raise ValueError(f"unknown attribute index {a}")
     if a in part.over:
@@ -218,12 +221,18 @@ def _verify(table: SenseTable, part: Partition, equal_fast_path: bool) -> Verify
     return VerifyOutcome(not witnesses, support, witnesses)
 
 
-def _support(table: SenseTable, part: Partition) -> SupportOutcome:
+def class_splits(
+    table: SenseTable, classes: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]]:
+    """``(class, sense id, members, others)`` for every class, in order.
+
+    ``members`` are the tuples carrying the majority sense, which is a
+    sense the whole class shares when there is one; ``others`` are the
+    rest.  Both keep the class's tuple order, and ties between senses go to
+    the smallest id.
+    """
     codes, senses = table.codes, table.senses
-    n = len(codes)
-    satisfied = n - part.covered_count
-    majorities: list[ClassMajority] = []
-    for cls in part.classes:
+    for cls in classes:
         if len(cls) == 2:
             first, second = cls
             first_senses, second_senses = senses[codes[first]], senses[codes[second]]
@@ -234,21 +243,31 @@ def _support(table: SenseTable, part: Partition) -> SupportOutcome:
         if shared:
             # Every tuple carries every shared sense, so all of them count
             # and the tie between those senses goes to the smallest id.
-            best, sense = len(cls), min(shared)
-            members, others = tuple(cls), ()
+            yield cls, min(shared), cls, ()
         elif len(cls) == 2:
             # Each sense of the pair is held by one tuple, so all tie at one
             # and the smallest id wins; the tuple holding it is the member.
-            best, sense = 1, min(first_senses | second_senses)
+            sense = min(first_senses | second_senses)
             if sense in first_senses:
-                members, others = (first,), (second,)
+                yield cls, sense, (first,), (second,)
             else:
-                members, others = (second,), (first,)
+                yield cls, sense, (second,), (first,)
         else:
-            best, sense = _majority(table, cls)
-            members = tuple(t for t in cls if sense in senses[codes[t]])
-            others = tuple(t for t in cls if sense not in senses[codes[t]])
-        satisfied += best
+            sense = _majority(table, cls)[1]
+            yield (
+                cls,
+                sense,
+                tuple(t for t in cls if sense in senses[codes[t]]),
+                tuple(t for t in cls if sense not in senses[codes[t]]),
+            )
+
+
+def _support(table: SenseTable, part: Partition) -> SupportOutcome:
+    n = len(table.codes)
+    satisfied = n - part.covered_count
+    majorities: list[ClassMajority] = []
+    for cls, sense, members, others in class_splits(table, part.classes):
+        satisfied += len(members)
         majorities.append(ClassMajority(cls[0], table.names[sense], members, others))
     support = 1.0 if n == 0 else satisfied / n
     return SupportOutcome(support, satisfied, tuple(majorities))
@@ -264,7 +283,7 @@ def verify(
     equal_fast_path: bool = True,
 ) -> VerifyOutcome:
     """Exact check of ``part -> a``, with every violating class as a witness."""
-    _check_attr(relation, part, a)
+    check_attr(relation, part, a)
     return _verify(sense_table(relation, ontology, a, kind), part, equal_fast_path)
 
 
@@ -276,7 +295,7 @@ def support(
     kind: OfdKind,
 ) -> SupportOutcome:
     """Support of ``part -> a`` with the majority split of every class."""
-    _check_attr(relation, part, a)
+    check_attr(relation, part, a)
     return _support(sense_table(relation, ontology, a, kind), part)
 
 

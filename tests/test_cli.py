@@ -17,6 +17,7 @@ from ontofd.cli import (
     ofds_to_records,
     report_violations,
     to_json,
+    violation_report_to_records,
 )
 from ontofd.inference import ofd_set, ofd_set_from_records
 from ontofd.lattice import DiscoveryConfig, discover
@@ -118,8 +119,10 @@ def test_stats_artifact(tmp_path):
     assert code == 0
     rows = json.loads(stats.read_text())
     fields = {"kind", "level", "nodes", "pruned", "candidates", "key_resolved", "ofds",
-              "seconds", "product_seconds"}
+              "seconds", "product_seconds", "report_seconds"}
     assert rows and all(set(row) == fields for row in rows)
+    # the report is built while discovery runs, and timed per level
+    assert all(row["report_seconds"] == 0.0 for row in rows)
     # {id} and {MED} are keys, so the superkey shortcut decides candidates
     assert all(0 <= row["key_resolved"] <= row["candidates"] for row in rows)
     assert sum(row["key_resolved"] for row in rows) > 0
@@ -136,6 +139,54 @@ def test_stats_artifact(tmp_path):
     full = json.loads(stats.read_text())
     assert [row["nodes"] for row in full] == [15, 20, 15, 6, 1]
     assert all(row["pruned"] == 0 and row["key_resolved"] == 0 for row in full)
+    code, _ = run_cli(tmp_path, "--mode", "syn", "--report-violations", "--stats", str(stats))
+    reported = json.loads(stats.read_text())
+    assert code == 0 and all(set(row) == fields for row in reported)
+    assert all(row["report_seconds"] >= 0 for row in reported)
+    assert sum(row["report_seconds"] for row in reported) > 0
+
+
+def test_report_bytes_equal_under_every_ablation_flag(tmp_path):
+    args = ["--mode", "both", "--theta", "2", "--tau", "0.8", "--report-violations"]
+    reports = []
+    for i, flags in enumerate([[], ["--no-opt2"], ["--no-opt3"], ["--no-opt4"], ["--no-strip"]]):
+        code, out = run_cli(tmp_path, *args, *flags, out_name=f"{i}.json")
+        assert code == 0
+        reports.append(Path(f"{out}.violations.json").read_bytes())
+    assert all(report == reports[0] for report in reports)
+    # and they are the public report over the discovered set, in its order
+    relation, ontology = load_relation(CLINICAL), load_ontology(ONTOLOGY)
+    ofds = [
+        ofd for kind in (Synonym(), Inheritance(2))
+        for ofd in discover(relation, ontology, DiscoveryConfig(kind, 0.8)).ofds
+    ]
+    records = violation_report_to_records(
+        report_violations(relation, ontology, ofds), relation.schema
+    )
+    assert len(records) > 1 and any(record["violations"] for record in records)
+    assert reports[0] == (to_json(records) + "\n").encode()
+
+
+def test_report_makes_no_partition_of_its_own(tmp_path, monkeypatch):
+    # the report reuses discovery's antecedent partitions, so it splits no
+    # class that discovery did not
+    import ontofd.relation
+
+    calls = Counter()
+    real = ontofd.relation._split
+
+    def counted(*args):
+        calls["split"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ontofd.relation, "_split", counted)
+    args = ["--mode", "both", "--theta", "2", "--tau", "0.8", "--inject-errors", "0.1"]
+    splits = []
+    for extra in ([], ["--report-violations"]):
+        calls.clear()
+        assert run_cli(tmp_path, *args, *extra)[0] == 0
+        splits.append(calls["split"])
+    assert splits[0] == splits[1] > 0
 
 
 def test_round_trip_into_inference(tmp_path):

@@ -24,7 +24,7 @@ from ontofd.repair import inject_errors
 from ontofd.verify import support_synonym
 
 from conftest import CC, CTRY, DIAG, SYMP
-from gen import random_relation
+from gen import random_relation, synth_relation
 from oracle import naive_partition
 
 
@@ -250,6 +250,17 @@ def test_relation_pickles_after_encoding(clinical, clinical_ontology):
     support_synonym(relation, clinical_ontology, strip(partition(relation, (CC,))), CTRY)
     copy = pickle.loads(pickle.dumps(relation))
     assert copy == relation and copy.columns[CTRY].codes == relation.columns[CTRY].codes
+
+
+def test_pickle_leaves_out_the_rows_view():
+    # ``rows`` is memoised on first read; the pickle holds only the columns
+    relation = synth_relation(random.Random(1), 2000)
+    before = pickle.dumps(relation)
+    assert relation.rows
+    assert pickle.dumps(relation) == before
+    copy = pickle.loads(before)
+    assert "rows" not in vars(copy) and copy == relation
+    assert copy.rows == relation.rows
 
 
 # Cells mixing quotes, delimiters, line breaks, blanks and non-ASCII text;
