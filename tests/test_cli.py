@@ -269,6 +269,20 @@ def test_inject_errors_prefers_sense_breaking():
         assert not (ontology.names(change.old) & ontology.names(change.new))
 
 
+def test_inject_errors_rejects_bad_columns():
+    # -1 used to perturb the last column but log column -1, 5 to end in an
+    # IndexError, and a repeated index to pick one cell twice, logging an
+    # injected value as the second change's ``old``
+    relation = relation_from_rows(["a", "b", "c"], [(str(i), str(i % 3), "z") for i in range(6)])
+    for columns in ([-1], [3], [5], [0, 0], [2, 1, 2]):
+        for rate in (0.0, 0.5):
+            with pytest.raises(ValueError, match="columns"):
+                inject_errors(relation, rate, seed=0, columns=columns)
+    _, log = inject_errors(relation, 0.5, seed=0, columns=[2, 0])
+    assert len({(c.row, c.column) for c in log}) == len(log) == 3
+    assert all(c.column in (0, 2) and relation.rows[c.row][c.column] == c.old for c in log)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_inject_errors_matches_rescanning_reference(seed):
     relation, ontology = random_instance(seed + 7000, max_rows=40)
