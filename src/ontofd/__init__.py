@@ -18,7 +18,6 @@ from .relation import (
     attr_set,
     load_relation,
     partition,
-    product,
     relation_from_rows,
     strip,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "minimal_cover",
     "ofd_set",
     "partition",
-    "product",
     "relation_from_rows",
     "strip",
     "support_inheritance",

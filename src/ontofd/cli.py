@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,12 +18,11 @@ from .inference import kind_label
 from .lattice import DiscoveryConfig, discover, ofd_order
 from .ontology import OntologyError, load_ontology
 from .relation import Partition, Relation, RelationError, load_relation
-from .repair import (  # noqa: F401 - report_violations stays importable from here
+from .repair import (
     CellChange,
     OfdViolationEntry,
     ViolationReport,
     inject_errors,
-    report_violations,
     violation_entry,
 )
 from .verify import Inheritance, Ofd, Synonym
@@ -242,21 +241,8 @@ def run(cfg: RunConfig) -> int:
         all_ofds.extend(result.ofds)
         # Entries arrive level by level; put them in the order of ``result.ofds``.
         entries[start:] = sorted(entries[start:], key=lambda entry: ofd_order(entry.ofd))
-        for stats in result.per_level:
-            stats_rows.append(
-                {
-                    "kind": kind_label(kind),
-                    "level": stats.level,
-                    "nodes": stats.nodes,
-                    "pruned": stats.pruned,
-                    "candidates": stats.candidates,
-                    "key_resolved": stats.key_resolved,
-                    "ofds": stats.ofds,
-                    "seconds": stats.seconds,
-                    "product_seconds": stats.product_seconds,
-                    "report_seconds": stats.report_seconds,
-                }
-            )
+        label = kind_label(kind)
+        stats_rows.extend({"kind": label, **asdict(stats)} for stats in result.per_level)
 
     try:
         _write_artifacts(cfg, relation, all_ofds, entries, stats_rows, inject_log)

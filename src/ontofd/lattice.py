@@ -87,13 +87,13 @@ class LevelStats:
     """
 
     level: int
-    candidates: int
-    ofds: int
-    seconds: float
     nodes: int
     pruned: int
-    product_seconds: float
+    candidates: int
     key_resolved: int
+    ofds: int
+    seconds: float
+    product_seconds: float
     report_seconds: float
 
 
@@ -207,7 +207,6 @@ class _Accumulator:
     valid_by_rhs: dict[int, list[int]] = field(default_factory=dict)
     candidates_tested: int = 0
     key_resolved: int = 0
-    emitted: int = 0
     pruned: int = 0
 
 
@@ -278,7 +277,6 @@ def compute_ofds(
                 node.dead = True
                 acc.pruned += 1
     acc.ofds.extend(emitted)
-    acc.emitted += len(emitted)
     return emitted
 
 
@@ -325,7 +323,6 @@ def discover(
             started = time.perf_counter()
             acc.candidates_tested = 0
             acc.key_resolved = 0
-            acc.emitted = 0
             acc.pruned = 0
             emitted = compute_ofds(level, parents, relation, ontology, cfg, acc)
             seconds = time.perf_counter() - started
@@ -338,13 +335,13 @@ def discover(
             per_level.append(
                 LevelStats(
                     node_size - 1,
-                    acc.candidates_tested,
-                    acc.emitted,
-                    seconds,
                     len(level),
                     acc.pruned,
-                    product_seconds,
+                    acc.candidates_tested,
                     acc.key_resolved,
+                    len(emitted),
+                    seconds,
+                    product_seconds,
                     report_seconds,
                 )
             )

@@ -130,11 +130,6 @@ class Ontology:
     def value_index(self) -> Mapping[str, frozenset[ClassId]]:
         return self._value_index
 
-    def synonyms_of(self, class_id: ClassId) -> frozenset[str]:
-        if is_implicit(class_id):
-            return frozenset({display_label(class_id)})
-        return self._classes[class_id].synonyms
-
     def names(self, value: str) -> frozenset[ClassId]:
         """Senses of a surface string; unknown strings get an implicit sense."""
         normalized = self.normalize(value)

@@ -15,7 +15,6 @@ import csv
 from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, count, islice
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -87,22 +86,11 @@ class Relation:
         columns = tuple(EncodedColumn(tuple(c), tuple(i)) for c, i in zip(codes, indexes))
         self.__dict__.update(schema=schema, n=n, columns=columns)  # frozen
 
-    def __getstate__(self) -> dict:
-        # The memoised ``rows`` shares ``__dict__`` with the fields; leave
-        # it out so a pickle is the same whether or not it was read.
-        return {"schema": self.schema, "n": self.n, "columns": self.columns}
-
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[str, ...], ...]:
-        """The cells as row tuples, decoded from the columns on first read."""
+        """The cells as row tuples, decoded from the columns on every read."""
         cells = [map(c.values.__getitem__, c.codes) for c in self.columns]
         return tuple(zip(*cells)) or ((),) * self.n
-
-    def attr_index(self, name: str) -> int:
-        try:
-            return self.schema.index(name)
-        except ValueError:
-            raise RelationError(f"unknown attribute {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -181,45 +169,27 @@ def strip(part: Partition) -> Partition:
 def _split(part: Partition, label: Sequence[int], over: AttrSet, least: int) -> Partition:
     """Split every class of ``part`` by ``label[t]``.
 
-    Groups of fewer than ``least`` tuples and tuples labelled -1 are
-    dropped.  Classes are walked in tuple order, so every group comes out
-    sorted.  A class of one or two tuples, the most common ones deep in the
-    lattice, needs no grouping: it stays whole when its labels are equal and
-    not -1, and otherwise falls apart into its tuples alone.
+    Groups of fewer than ``least`` tuples are dropped.  Classes are walked in
+    tuple order, so every group comes out sorted.  A class of one or two
+    tuples, the most common ones deep in the lattice, needs no grouping: it
+    stays whole when its labels are equal, and otherwise falls apart into
+    its tuples alone.
     """
     out: list[tuple[int, ...]] = []
     for cls in part.classes:
         if len(cls) <= 2:
-            first = label[cls[0]]
-            if first != -1 and first == label[cls[-1]]:
+            if label[cls[0]] == label[cls[-1]]:
                 if len(cls) >= least:
                     out.append(cls)
             elif least == 1:
-                out.extend([(t,) for t in cls if label[t] != -1])
+                out.extend([(t,) for t in cls])
             continue
         groups: dict[int, list[int]] = {}
         for t in cls:
             groups.setdefault(label[t], []).append(t)
-        groups.pop(-1, None)
         out.extend([tuple(g) for g in groups.values() if len(g) >= least])
     out.sort(key=lambda c: c[0])
     return Partition(over, tuple(out))
-
-
-def product(a: Partition, b: Partition) -> Partition:
-    """Stripped partition over the union of attribute sets.
-
-    Equals ``strip(partition(r, a.over | b.over))`` and runs in time linear
-    in the covered tuple counts.
-    """
-    # Probe table: the index of each tuple's class in ``b``, -1 if it has
-    # none.  Indexed by tuple id, a list stays cheaper per lookup than a
-    # dict as tables grow.
-    class_of = [-1] * (1 + max(map(max, a.classes + b.classes), default=-1))
-    for index, cls in enumerate(b.classes):
-        for t in cls:
-            class_of[t] = index
-    return _split(a, class_of, attr_set(a.over + b.over), 2)
 
 
 def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Partition:

@@ -107,17 +107,20 @@ def inject_errors(
 ) -> tuple[Relation, list[CellChange]]:
     """Perturb ``ceil(rate * n)`` cells with values from other rows.
 
-    Cells are drawn uniformly from the given columns (all columns by
-    default).  When an ontology is supplied, replacement values that share no
-    sense with the original are preferred, so the logged cells break sense
-    agreement whenever the column offers such a value.  The same seed always
-    produces the same perturbation.
+    Cells are drawn uniformly from the given columns, distinct attribute
+    indexes (all columns by default).  When an ontology is supplied,
+    replacement values that share no sense with the original are preferred,
+    so the logged cells break sense agreement whenever the column offers such
+    a value.  The same seed always produces the same perturbation.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must be in [0, 1)")
     n = relation.n
     count = math.ceil(rate * n)
-    target_columns = list(columns) if columns is not None else list(range(len(relation.schema)))
+    width = len(relation.schema)
+    target_columns = list(range(width)) if columns is None else list(columns)
+    if len(set(target_columns) & set(range(width))) != len(target_columns):
+        raise ValueError(f"columns must be distinct attribute indexes in range({width})")
     if count == 0 or n == 1 or not target_columns:
         # With one row, no other row holds a value to draw.
         return relation, []
@@ -126,7 +129,7 @@ def inject_errors(
     chosen = rng.sample(cells, min(count, len(cells)))
     table = [list(map(c.values.__getitem__, c.codes)) for c in relation.columns]
     # Per column: the sorted distinct values, and the position of each.
-    values = {col: sorted(relation.columns[col].values) for col in set(target_columns)}
+    values = {col: sorted(relation.columns[col].values) for col in target_columns}
     position = {col: {v: i for i, v in enumerate(vals)} for col, vals in values.items()}
     sharing: dict[int, _SharedSenses] = {}
     log: list[CellChange] = []

@@ -55,8 +55,9 @@ def class_satisfies(ontology: Ontology, values, kind: OfdKind) -> bool:
 
 def ofd_holds(relation: Relation, ontology: Ontology, lhs, rhs, kind: OfdKind) -> bool:
     """Check lhs -> rhs over the full relation, class by class."""
-    for cls in naive_partition(relation.rows, tuple(lhs)):
-        values = [relation.rows[t][rhs] for t in cls]
+    rows = relation.rows
+    for cls in naive_partition(rows, tuple(lhs)):
+        values = [rows[t][rhs] for t in cls]
         if not class_satisfies(ontology, values, kind):
             return False
     return True
@@ -281,11 +282,12 @@ def reference_inject_errors(relation, rate, seed, *, columns=None, ontology=None
     target_columns = list(columns) if columns is not None else list(range(len(relation.schema)))
     cells = [(row, col) for col in target_columns for row in range(n)]
     chosen = rng.sample(cells, min(count, len(cells)))
-    rows = [list(row) for row in relation.rows]
+    original = relation.rows
+    rows = [list(row) for row in original]
     log = []
     for row, col in sorted(chosen):
         old = rows[row][col]
-        pool = sorted({relation.rows[r][col] for r in range(n) if r != row})
+        pool = sorted({original[r][col] for r in range(n) if r != row})
         if not pool:
             continue
         if ontology is not None:

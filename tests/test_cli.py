@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,14 +16,14 @@ from ontofd.cli import (
     inject_errors,
     main,
     ofds_to_records,
-    report_violations,
     to_json,
     violation_report_to_records,
 )
 from ontofd.inference import ofd_set, ofd_set_from_records
-from ontofd.lattice import DiscoveryConfig, discover
+from ontofd.lattice import DiscoveryConfig, LevelStats, discover
 from ontofd.ontology import Ontology, OntologyClass, load_ontology
 from ontofd.relation import Relation, load_relation, relation_from_rows
+from ontofd.repair import report_violations
 from ontofd.verify import Inheritance, Ofd, Synonym
 
 from conftest import DATA
@@ -144,6 +145,25 @@ def test_stats_artifact(tmp_path):
     assert code == 0 and all(set(row) == fields for row in reported)
     assert all(row["report_seconds"] >= 0 for row in reported)
     assert sum(row["report_seconds"] for row in reported) > 0
+
+
+def test_stats_rows_are_the_level_stats(tmp_path):
+    stats = tmp_path / "stats.json"
+    code, _ = run_cli(tmp_path, "--mode", "both", "--theta", "2", "--stats", str(stats))
+    rows = json.loads(stats.read_text())
+    names = [f.name for f in fields(LevelStats)]
+    assert names == ["level", "nodes", "pruned", "candidates", "key_resolved", "ofds",
+                     "seconds", "product_seconds", "report_seconds"]
+    assert code == 0 and rows and all(list(row) == ["kind", *names] for row in rows)
+    # the counts are discovery's own, level by level; timings vary per run
+    counts = names[:6]
+    relation, ontology = load_relation(CLINICAL), load_ontology(ONTOLOGY)
+    want = [
+        {"kind": label, **{name: getattr(level, name) for name in counts}}
+        for label, kind in (("synonym", Synonym()), ("inheritance", Inheritance(2)))
+        for level in discover(relation, ontology, DiscoveryConfig(kind)).per_level
+    ]
+    assert [{key: row[key] for key in ["kind", *counts]} for row in rows] == want
 
 
 def test_report_bytes_equal_under_every_ablation_flag(tmp_path):
@@ -270,9 +290,9 @@ def test_inject_errors_prefers_sense_breaking():
 
 
 def test_inject_errors_rejects_bad_columns():
-    # -1 used to perturb the last column but log column -1, 5 to end in an
-    # IndexError, and a repeated index to pick one cell twice, logging an
-    # injected value as the second change's ``old``
+    # unchecked, -1 would perturb the last column but log column -1, 5 would
+    # end in an IndexError, and a repeated index could pick one cell twice,
+    # logging an injected value as the second change's ``old``
     relation = relation_from_rows(["a", "b", "c"], [(str(i), str(i % 3), "z") for i in range(6)])
     for columns in ([-1], [3], [5], [0, 0], [2, 1, 2]):
         for rate in (0.0, 0.5):

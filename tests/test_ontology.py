@@ -158,7 +158,7 @@ def test_theta_monotone_and_index_consistency():
                 assert cls.id in o.names(synonym)
         for value, ids in o.value_index.items():
             for class_id in ids:
-                assert value in {o.normalize(s) for s in o.synonyms_of(class_id)}
+                assert value in {o.normalize(s) for s in o.classes[class_id].synonyms}
         for value in list(o.value_index)[:5]:
             for theta in range(3):
                 assert o.theta_ancestors(value, theta) <= o.theta_ancestors(value, theta + 1)

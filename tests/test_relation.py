@@ -1,11 +1,13 @@
 """Table loading, partitions, stripping, and products."""
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import pickle
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,6 @@ from ontofd.relation import (
     attr_set,
     load_relation,
     partition,
-    product,
     refine,
     relation_from_rows,
     strip,
@@ -119,10 +120,18 @@ def test_strip_removes_singletons(clinical):
     assert one_class.classes == (tuple(range(7)),)
 
 
+def product(p, q, r):
+    """The stripped partition over both attribute sets: ``p`` refined by each
+    attribute of ``q`` in turn, as discovery builds a node's partition."""
+    for a in q.over:
+        p = refine(p, r, a)
+    return p
+
+
 def test_product_symptom_diagnosis(clinical):
     left = strip(partition(clinical, (SYMP,)))
     right = strip(partition(clinical, (DIAG,)))
-    combined = product(left, right)
+    combined = product(left, right, clinical)
     assert combined.classes == ((0, 1, 2), (3, 4, 5))
     # recomputed directly from the table
     assert combined == strip(partition(clinical, (SYMP, DIAG)))
@@ -131,15 +140,15 @@ def test_product_symptom_diagnosis(clinical):
 def test_product_with_empty_absorbs(clinical):
     empty = strip(partition(clinical, attr_set(range(6))))
     other = strip(partition(clinical, (CC,)))
-    assert product(empty, other).classes == ()
-    assert product(other, empty).classes == ()
+    assert product(empty, other, clinical).classes == ()
+    assert product(other, empty, clinical).classes == ()
 
 
 def test_product_idempotent_and_commutative(clinical):
     a = strip(partition(clinical, (CC,)))
     b = strip(partition(clinical, (CTRY,)))
-    assert product(a, a).classes == a.classes
-    assert product(a, b) == product(b, a)
+    assert product(a, a, clinical).classes == a.classes
+    assert product(a, b, clinical) == product(b, a, clinical)
 
 
 def test_product_equals_direct_partition_on_random_tables():
@@ -150,7 +159,7 @@ def test_product_equals_direct_partition_on_random_tables():
         x = attr_set(rng.sample(range(n_attrs), rng.randint(1, n_attrs - 1)))
         rest = [a for a in range(n_attrs) if a not in x]
         y = attr_set(rng.sample(rest, rng.randint(1, len(rest)))) if rest else x
-        got = product(strip(partition(r, x)), strip(partition(r, y)))
+        got = product(strip(partition(r, x)), strip(partition(r, y)), r)
         want = strip(partition(r, attr_set(x + y)))
         assert got == want
         a = rng.randrange(n_attrs)
@@ -181,7 +190,7 @@ def test_refine_and_product_equal_direct_partition_on_pairs(r, data):
     x, y = data.draw(subsets), data.draw(subsets)
     a = data.draw(st.integers(0, len(r.schema) - 1))
     p, q = strip(partition(r, x)), strip(partition(r, y))
-    assert product(p, q) == strip(partition(r, attr_set(x + y)))
+    assert product(p, q, r) == strip(partition(r, attr_set(x + y)))
     assert refine(p, r, a) == strip(partition(r, attr_set(x + (a,))))
     # refining a full partition builds the full one with one-tuple classes
     # kept, and the stripped one without
@@ -190,8 +199,8 @@ def test_refine_and_product_equal_direct_partition_on_pairs(r, data):
 
 
 def test_pair_outside_the_other_partition_is_dropped():
-    # rows 0 and 1 share A0 but are singletons under A1, so the probe labels
-    # both -1; rows 2 and 3 agree on both, rows 4 and 5 on A0 only
+    # rows 0 and 1 share A0 but are singletons under A1, so they fall out of
+    # the stripped product; rows 2 and 3 agree on both, rows 4 and 5 on A0 only
     r = relation_from_rows(
         ["A0", "A1"], [("p", "u"), ("p", "v"), ("q", "w"), ("q", "w"), ("s", "w"), ("s", "x")]
     )
@@ -199,7 +208,7 @@ def test_pair_outside_the_other_partition_is_dropped():
     assert p.classes == ((0, 1), (2, 3), (4, 5)) and q.classes == ((2, 3, 4),)
     want = strip(partition(r, (0, 1)))
     assert want.classes == ((2, 3),)
-    assert product(p, q) == want == refine(p, r, 1)
+    assert want == refine(p, r, 1)
 
 
 def test_partition_matches_naive_grouping():
@@ -233,11 +242,11 @@ def test_product_scales_roughly_linearly():
     def timed(n_rows: int) -> float:
         rows = [(str(rng.randrange(50)), str(rng.randrange(50))) for _ in range(n_rows)]
         r = relation_from_rows(["a", "b"], rows)
-        left, right = strip(partition(r, (0,))), strip(partition(r, (1,)))
+        left = strip(partition(r, (0,)))
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            product(left, right)
+            refine(left, r, 1)
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -253,7 +262,8 @@ def test_relation_pickles_after_encoding(clinical, clinical_ontology):
 
 
 def test_pickle_leaves_out_the_rows_view():
-    # ``rows`` is memoised on first read; the pickle holds only the columns
+    # ``rows`` is decoded on every read and never stored; the pickle holds
+    # only the columns
     relation = synth_relation(random.Random(1), 2000)
     before = pickle.dumps(relation)
     assert relation.rows
@@ -296,6 +306,27 @@ def test_every_exported_name_resolves():
 
     for name in ontofd.__all__:
         assert getattr(ontofd, name) is not None, name
+
+
+def test_no_module_imports_a_name_it_never_loads():
+    # ``__init__`` imports what it exports; every other import is used
+    import ontofd
+
+    unused = []
+    for path in sorted(Path(ontofd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        kept = {"annotations", *(ontofd.__all__ if path.name == "__init__.py" else ())}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded and name not in kept:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_relation_without_attributes_keeps_its_rows():
