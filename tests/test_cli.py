@@ -108,6 +108,19 @@ def test_config_errors_exit_1(tmp_path, capsys):
         RunConfig(input_path="x", ontology_path="y", max_level=0)
 
 
+def test_report_without_output_is_a_config_error(capsys):
+    # the report goes to <output>.violations.json; on stdout it would follow
+    # the output records as a second JSON document. The inputs do not
+    # exist, so the flags are rejected before any load.
+    code = main(["--input", "x", "--ontology", "y", "--report-violations"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--output" in captured.err
+    with pytest.raises(CliConfigError, match="--output"):
+        RunConfig(input_path="x", ontology_path="y", report_violations=True)
+
+
 def test_text_format(tmp_path):
     code, out = run_cli(tmp_path, "--mode", "syn", "--format", "text")
     assert code == 0
