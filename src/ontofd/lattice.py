@@ -171,9 +171,10 @@ def apply_optimizations(
     """Masks ``(examine, key_resolved, key_parents)`` for one node.
 
     ``key_parents`` holds each attribute ``a`` of the node whose antecedent,
-    the parent without ``a``, is a superkey.  With candidate-set pruning the
-    node's ``C+`` becomes the intersection of its parents' candidate sets,
-    and only candidates left in it are examined.  Trivial candidates never
+    the parent without ``a``, is a superkey.  The node's ``C+`` becomes the
+    intersection of its parents' candidate sets; with candidate-set pruning
+    only candidates left in it are examined, without it every candidate is
+    tested and ``C+`` still decides minimality.  Trivial candidates never
     exist (the rhs is always drawn from the node itself, so the antecedent
     excludes it by construction).  With superkey shortcutting an examined
     candidate in ``key_parents`` is resolved without verification; the
@@ -188,11 +189,8 @@ def apply_optimizations(
         candidates &= parent.candidates
         if parent.is_superkey:
             key_parents |= bit
-    if cfg.opt2:
-        node.candidates = candidates
-        examine = candidates & mask
-    else:
-        examine = mask
+    node.candidates = candidates
+    examine = candidates & mask if cfg.opt2 else mask
     return examine, examine & key_parents if cfg.opt3 else 0, key_parents
 
 
@@ -202,9 +200,6 @@ class _Accumulator:
 
     ofds: list[Ofd] = field(default_factory=list)
     keys_found: list[AttrSet] = field(default_factory=list)
-    # rhs -> antecedent masks of every candidate found valid so far;
-    # consulted for minimality only when candidate-set pruning is disabled.
-    valid_by_rhs: dict[int, list[int]] = field(default_factory=dict)
     candidates_tested: int = 0
     key_resolved: int = 0
     pruned: int = 0
@@ -255,21 +250,12 @@ def compute_ofds(
                 satisfied = agreement(
                     tables[a], parents[mask ^ bit].part.classes, cfg.tau, cfg.opt4
                 )
-            if satisfied is None:
+            # A valid candidate is minimal while ``a`` is still in ``C+``.
+            if satisfied is None or not node.candidates & bit:
                 continue
             sup = 1.0 if n == 0 else satisfied / n
-            lhs = attrs[:i] + attrs[i + 1:]
-            if cfg.opt2:
-                emitted.append(Ofd(lhs, a, cfg.kind, sup))
-                node.candidates &= ~bit
-            else:
-                lhs_mask = mask ^ bit
-                valid = acc.valid_by_rhs.setdefault(a, [])
-                if not any(
-                    prior != lhs_mask and not prior & ~lhs_mask for prior in valid
-                ):
-                    emitted.append(Ofd(lhs, a, cfg.kind, sup))
-                valid.append(lhs_mask)
+            emitted.append(Ofd(attrs[:i] + attrs[i + 1:], a, cfg.kind, sup))
+            node.candidates &= ~bit
         if node.is_superkey:
             if not key_parents:
                 acc.keys_found.append(attrs)

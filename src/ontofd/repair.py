@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from operator import countOf
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ontology import Ontology, display_label
 from .relation import Partition, Relation, partition, strip
@@ -30,10 +30,10 @@ class CellChange:
     new: str
 
 
-@dataclass(frozen=True)
-class ClassViolation:
+class ClassViolation(NamedTuple):
     """One equivalence class that fails the exact check, split into the
-    tuples consistent with the majority sense and the minority remainder."""
+    tuples consistent with the majority sense and the minority remainder;
+    a named tuple, cheaper to build than a frozen dataclass."""
 
     representative: int
     majority_sense: str

@@ -5,11 +5,11 @@ naive grouping, class checks by literal set intersection, discovery by
 enumerating and minimizing every candidate, support by exhaustive subset
 search, and closure by saturating the three inference rules over all
 subsets of the queried attribute set.  None of it shares code paths with
-the library beyond the ontology's basic lookups.  ``reference_verify``,
-``reference_support``, ``reference_report_violations`` and
-``reference_inject_errors`` keep the string-based algorithms the library
-used before it encoded columns, as the outcomes the encoded versions must
-reproduce exactly.
+the library beyond the ontology's basic lookups and ``ofd_to_record``.
+``reference_verify``, ``reference_support``, ``reference_report_violations``
+and ``reference_inject_errors`` keep the string-based algorithms the
+library used before it encoded columns, as the outcomes the encoded
+versions must reproduce exactly.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import math
 import random
 from itertools import combinations
 
+from ontofd.cli import ofd_to_record
 from ontofd.ontology import Ontology, display_label
 from ontofd.relation import Partition, Relation, relation_from_rows
 from ontofd.repair import CellChange, ClassViolation, OfdViolationEntry, ViolationReport
@@ -270,6 +271,30 @@ def reference_report_violations(relation, ontology, ofds):
         savings = unequal_total / satisfying_total if satisfying_total else 0.0
         entries.append(OfdViolationEntry(ofd, approx.support, tuple(violations), savings))
     return ViolationReport(tuple(entries))
+
+
+def violation_report_to_records(report, schema):
+    """The violations file's records, one dict per entry: the reference
+    that the CLI's writer must reproduce as ``json.dumps(records, indent=2)``."""
+    return [
+        {
+            "ofd": ofd_to_record(entry.ofd, schema),
+            "support": entry.support,
+            "false_positive_savings": entry.false_positive_savings,
+            "violations": [
+                {
+                    "class_representative": v.representative,
+                    "majority_sense": v.majority_sense,
+                    "majority_tuples": list(v.majority_tuples),
+                    "minority_tuples": list(v.minority_tuples),
+                    "minority_values": list(v.minority_values),
+                    "suggested_value": v.suggested_value,
+                }
+                for v in entry.violations
+            ],
+        }
+        for entry in report.entries
+    ]
 
 
 def reference_inject_errors(relation, rate, seed, *, columns=None, ontology=None):

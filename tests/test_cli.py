@@ -16,19 +16,23 @@ from ontofd.cli import (
     inject_errors,
     main,
     ofds_to_records,
-    to_json,
-    violation_report_to_records,
+    violations_json,
 )
 from ontofd.inference import ofd_set, ofd_set_from_records
 from ontofd.lattice import DiscoveryConfig, LevelStats, discover
 from ontofd.ontology import Ontology, OntologyClass, load_ontology
 from ontofd.relation import Relation, load_relation, relation_from_rows
-from ontofd.repair import report_violations
+from ontofd.repair import (
+    ClassViolation,
+    OfdViolationEntry,
+    ViolationReport,
+    report_violations,
+)
 from ontofd.verify import Inheritance, Ofd, Synonym
 
 from conftest import DATA
 from gen import random_instance
-from oracle import reference_inject_errors
+from oracle import reference_inject_errors, violation_report_to_records
 
 CLINICAL = str(DATA / "clinical.csv")
 ONTOLOGY = str(DATA / "clinical_ontology.json")
@@ -197,7 +201,7 @@ def test_report_bytes_equal_under_every_ablation_flag(tmp_path):
         report_violations(relation, ontology, ofds), relation.schema
     )
     assert len(records) > 1 and any(record["violations"] for record in records)
-    assert reports[0] == (to_json(records) + "\n").encode()
+    assert reports[0] == (json.dumps(records, indent=2) + "\n").encode()
 
 
 def test_report_makes_no_partition_of_its_own(tmp_path, monkeypatch):
@@ -249,7 +253,7 @@ def test_records_parse_back_into_the_discovered_set(seed, theta_or_syn, approxim
     kind = Synonym() if theta_or_syn == 4 else Inheritance(theta_or_syn)
     tau = data.draw(st.integers(1, relation.n)) / relation.n if approximate else 1.0
     ofds = discover(relation, ontology, DiscoveryConfig(kind=kind, tau=tau)).ofds
-    records = json.loads(to_json(ofds_to_records(ofds, schema)))
+    records = json.loads(json.dumps(ofds_to_records(ofds, schema), indent=2))
     parsed = ofd_set_from_records(records, schema, kind=kind)
     want = ofd_set(kind, [(o.lhs, (o.rhs,)) for o in ofds])
     assert Counter(parsed.deps) == Counter(want.deps)
@@ -504,28 +508,43 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, target, content
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
-    ),
-    max_leaves=40,
-)
+# Names and values with quotes, backslashes, control characters, non-ASCII
+# and astral characters, and lone surrogates.
+TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
+RATIOS = st.sampled_from([0.0, 1.0]) | st.builds(
+    lambda k, n: min(k, n) / n, st.integers(0, 50), st.integers(1, 50)
+) | st.floats(0.0, 1.0)
+TUPLE_IDS = st.lists(st.integers(0, 10**6), max_size=4).map(tuple)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(JSON_VALUES)
-@example([float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300])
-@example({"": [], "é": {}, "\u2603\ud834\udd1e": [[], {}, ()], "\"\\\n\t\x00": "\x7f\u0085"})
-@example([True, 1, False, 0, None, "1", 10**30, -7])
-@example({"rows": [[1, 2], ["x", "y"], [1, "x", 1.5, None]]})
-def test_json_writer_equals_indented_dumps(value):
-    assert to_json(value) == json.dumps(value, indent=2)
+@st.composite
+def violation_reports(draw):
+    schema = draw(st.lists(TEXT, min_size=2, max_size=5))
+    attrs = st.integers(0, len(schema) - 1)
+    kinds = st.just(Synonym()) | st.builds(Inheritance, st.integers(0, 5))
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        rhs = draw(attrs)
+        lhs = draw(st.lists(attrs.filter(lambda a: a != rhs), min_size=1, max_size=3))
+        ofd = Ofd(tuple(lhs), rhs, draw(kinds), draw(st.none() | RATIOS))
+        violations = draw(st.lists(st.builds(
+            ClassViolation, st.integers(0, 10**6), TEXT, TUPLE_IDS, TUPLE_IDS,
+            st.lists(TEXT, max_size=3).map(tuple), TEXT,
+        ), max_size=3))
+        entries.append(OfdViolationEntry(ofd, draw(RATIOS), tuple(violations), draw(RATIOS)))
+    return ViolationReport(tuple(entries)), schema
 
 
-def test_json_writer_rejects_what_it_does_not_take():
-    for value in ({1: "a"}, {("a",): 1}, {"a"}, object(), b"a", [1, {"k": {2}}]):
-        with pytest.raises(TypeError):
-            to_json(value)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(violation_reports())
+@example((ViolationReport(()), ["a"]))
+@example((ViolationReport((
+    OfdViolationEntry(Ofd((0,), 1, Synonym(), None), 1.0, (), 0.0),
+    OfdViolationEntry(Ofd((1, 0), 2, Inheritance(2), 2 / 3), 0.0, (
+        ClassViolation(3, "\"\\\n\x00\x7f", (), (4,), ("\u2603\U0001d11e", "\ud834"), "\t"),
+    ), 1 / 3),
+)), ["\u00e9\"", "\\x", "\U0001f600\x1f"]))
+def test_violations_writer_equals_indented_dumps_of_the_records(report_and_schema):
+    report, schema = report_and_schema
+    records = violation_report_to_records(report, schema)
+    assert violations_json(report.entries, schema) == json.dumps(records, indent=2)

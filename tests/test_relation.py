@@ -6,6 +6,7 @@ import csv
 import io
 import pickle
 import random
+import re
 import time
 from pathlib import Path
 
@@ -327,6 +328,41 @@ def test_no_module_imports_a_name_it_never_loads():
                     if name not in loaded and name not in kept:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    # a top-level ``def`` or ``class`` that no other statement in the
+    # package names, that is not exported, and that neither the README nor
+    # the project file names, is dead code
+    import ontofd
+
+    root = Path(__file__).parents[1]
+    documented = "".join(
+        (root / name).read_text(encoding="utf-8") for name in ("README.md", "pyproject.toml")
+    )
+    statements = []
+    for path in sorted(Path(ontofd.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            named = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    named.update(alias.name for alias in node.names)
+            statements.append((path.name, statement, named))
+    dead = [
+        f"{module}:{statement.lineno} {statement.name}"
+        for module, statement, _ in statements
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        and not any(
+            statement.name in named for _, other, named in statements if other is not statement
+        )
+        and statement.name not in ontofd.__all__
+        and not re.search(rf"\b{statement.name}\b", documented)
+    ]
+    assert dead == []
 
 
 def test_relation_without_attributes_keeps_its_rows():
