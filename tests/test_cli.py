@@ -125,6 +125,19 @@ def test_report_without_output_is_a_config_error(capsys):
         RunConfig(input_path="x", ontology_path="y", report_violations=True)
 
 
+def test_inject_errors_without_output_is_a_config_error(capsys):
+    # the injection log goes to <output>.inject-log.json; without --output
+    # the changed cells would be lost while the run exits 0. The inputs do
+    # not exist, so the flags are rejected before any load.
+    code = main(["--input", "x", "--ontology", "y", "--inject-errors", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--output" in captured.err and "--inject-errors" in captured.err
+    with pytest.raises(CliConfigError, match="--output"):
+        RunConfig(input_path="x", ontology_path="y", inject_rate=0.1)
+
+
 def test_text_format(tmp_path):
     code, out = run_cli(tmp_path, "--mode", "syn", "--format", "text")
     assert code == 0
