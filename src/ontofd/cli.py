@@ -66,6 +66,8 @@ class RunConfig:
             raise CliConfigError("--inject-errors rate must be in [0, 1)")
         if self.report_violations and self.output_path is None:
             raise CliConfigError("--report-violations requires --output")
+        if self.inject_rate is not None and self.output_path is None:
+            raise CliConfigError("--inject-errors requires --output")
 
 
 def ofd_to_record(ofd: Ofd, schema: Sequence[str]) -> dict:
@@ -245,7 +247,7 @@ def _write_artifacts(
     if cfg.stats_path is not None:
         _write(cfg.stats_path, json.dumps(stats_rows, indent=2) + "\n")
 
-    if cfg.inject_rate is not None and cfg.output_path is not None:
+    if cfg.inject_rate is not None:
         log_records = [
             {"row": c.row, "column": relation.schema[c.column], "old": c.old, "new": c.new}
             for c in inject_log

@@ -32,7 +32,7 @@ antecedents, and ``max_level`` caps the antecedent size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .ontology import Ontology
@@ -156,7 +156,7 @@ def calculate_next_level(
                     continue
                 attrs = left.attrs + (last,)
                 if left.is_superkey:
-                    part = replace(left.part, over=attrs)
+                    part = Partition(attrs, left.part.classes)
                 else:
                     part = refine(left.part, relation, last, cfg.least)
                 next_nodes.append(LatticeNode(attrs, left.mask | bit, part))

@@ -16,6 +16,7 @@ from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 from weakref import WeakKeyDictionary
@@ -110,7 +111,9 @@ class Partition:
 
     @property
     def is_superkey(self) -> bool:
-        return all(len(c) == 1 for c in self.classes)
+        # A stripped partition's first class, if any, decides it at once.
+        classes = self.classes
+        return not classes or len(classes[0]) == 1 and max(map(len, classes)) == 1
 
 
 relation_from_rows = Relation
@@ -169,26 +172,57 @@ def strip(part: Partition) -> Partition:
 def _split(part: Partition, label: Sequence[int], over: AttrSet, least: int) -> Partition:
     """Split every class of ``part`` by ``label[t]``.
 
-    Groups of fewer than ``least`` tuples are dropped.  Classes are walked in
-    tuple order, so every group comes out sorted.  A class of one or two
-    tuples, the most common ones deep in the lattice, needs no grouping: it
-    stays whole when its labels are equal, and otherwise falls apart into
-    its tuples alone.
+    Groups of fewer than ``least`` tuples, 1 or 2, are dropped.  Classes are
+    walked in tuple order, so every group comes out sorted.  Classes of up
+    to three tuples, the most common ones deep in the lattice, need no
+    grouping: each stays whole when its labels are equal, and otherwise
+    keeps the one pair whose labels agree, if any, and falls apart into its
+    other tuples alone.  Only classes of four or more tuples are grouped.
     """
     out: list[tuple[int, ...]] = []
+    append = out.append
+    singles = least == 1
     for cls in part.classes:
-        if len(cls) <= 2:
-            if label[cls[0]] == label[cls[-1]]:
-                if len(cls) >= least:
-                    out.append(cls)
-            elif least == 1:
-                out.extend([(t,) for t in cls])
-            continue
-        groups: dict[int, list[int]] = {}
-        for t in cls:
-            groups.setdefault(label[t], []).append(t)
-        out.extend([tuple(g) for g in groups.values() if len(g) >= least])
-    out.sort(key=lambda c: c[0])
+        size = len(cls)
+        if size == 2:
+            x, y = cls
+            if label[x] == label[y]:
+                append(cls)
+            elif singles:
+                append((x,))
+                append((y,))
+        elif size == 3:
+            x, y, z = cls
+            lx, ly, lz = label[x], label[y], label[z]
+            if lx == ly == lz:
+                append(cls)
+            elif lx == ly:
+                append((x, y))
+                if singles:
+                    append((z,))
+            elif lx == lz:
+                append((x, z))
+                if singles:
+                    append((y,))
+            elif ly == lz:
+                append((y, z))
+                if singles:
+                    append((x,))
+            elif singles:
+                append((x,))
+                append((y,))
+                append((z,))
+        elif size == 1:
+            if singles:
+                append(cls)
+        else:
+            groups: dict[int, list[int]] = {}
+            for t in cls:
+                groups.setdefault(label[t], []).append(t)
+            for group in groups.values():
+                if len(group) >= least:
+                    append(tuple(group))
+    out.sort(key=itemgetter(0))
     return Partition(over, tuple(out))
 
 
@@ -199,4 +233,7 @@ def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Parti
     Splits each class of ``part`` by the column's dictionary codes, so it
     reads only the tuples ``part`` covers.
     """
-    return _split(part, relation.columns[a].codes, attr_set(part.over + (a,)), least)
+    over = part.over
+    # The lattice and ``partition`` always add an attribute above ``over``.
+    over = over + (a,) if over and a > over[-1] else attr_set(over + (a,))
+    return _split(part, relation.columns[a].codes, over, least)

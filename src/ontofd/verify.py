@@ -51,7 +51,7 @@ class Inheritance:
 OfdKind = Union[Synonym, Inheritance]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ofd:
     """A dependency lhs -> rhs of a given kind, with optional support."""
 
@@ -60,9 +60,14 @@ class Ofd:
     kind: OfdKind
     support: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.rhs in self.lhs:
+    def __init__(
+        self, lhs: AttrSet, rhs: int, kind: OfdKind, support: float | None = None
+    ) -> None:
+        # Filled in directly: discovery builds thousands, and the frozen
+        # dataclass ``__init__`` sets each field through ``object.__setattr__``.
+        if rhs in lhs:
             raise ValueError("trivial dependency: rhs appears in lhs")
+        self.__dict__.update(lhs=lhs, rhs=rhs, kind=kind, support=support)
 
 
 @dataclass(frozen=True)

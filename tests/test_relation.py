@@ -11,9 +11,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ontofd.relation import (
+    Partition,
     RelationError,
     attr_set,
     load_relation,
@@ -197,6 +198,77 @@ def test_refine_and_product_equal_direct_partition_on_pairs(r, data):
     # kept, and the stripped one without
     assert refine(partition(r, x), r, a, 1) == partition(r, attr_set(x + (a,)))
     assert refine(partition(r, x), r, a) == strip(partition(r, attr_set(x + (a,))))
+
+
+# The five ways the labels of a class of three tuples can fall, in tuple
+# order: all equal, each of the three pairs equal, all distinct.
+THREE_LABELS = ("xxx", "xxy", "xyx", "yxx", "xyz")
+
+
+def labelled_relation(classes, labels):
+    """A table over the tuples of ``classes`` whose columns 0 and 2 name
+    each tuple's class and whose column 1 holds ``labels[t]``."""
+    name = {t: str(i) for i, cls in enumerate(classes) for t in cls}
+    return relation_from_rows(["C", "L", "D"], [(name[t], labels[t], name[t]) for t in sorted(name)])
+
+
+@st.composite
+def labelled_classes(draw):
+    """Classes of 1 to 6 tuples over shuffled tuple ids, ordered by their
+    first id, with a label per tuple; a class of three takes one of the
+    five label patterns."""
+    sizes = draw(st.lists(st.integers(1, 6), max_size=8))
+    ids = draw(st.permutations(range(sum(sizes))))
+    classes, labels, start = [], {}, 0
+    for size in sizes:
+        cls = tuple(sorted(ids[start:start + size]))
+        start += size
+        if size == 3:
+            pattern = draw(st.sampled_from(THREE_LABELS))
+        else:
+            pattern = draw(st.text("xyz", min_size=size, max_size=size))
+        labels.update(zip(cls, pattern))
+        classes.append(cls)
+    classes.sort()
+    return labelled_relation(classes, labels), tuple(classes)
+
+
+# Each of the five patterns once, in classes interleaved by tuple id.
+EVERY_THREE = [(0, 5, 10), (1, 6, 11), (2, 7, 12), (3, 8, 13), (4, 9, 14)]
+EVERY_THREE_LABELS = {t: THREE_LABELS[i][j] for i, c in enumerate(EVERY_THREE) for j, t in enumerate(c)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(labelled_classes(), st.sampled_from([(0,), (2,)]), st.sampled_from([1, 2]))
+@example((labelled_relation(EVERY_THREE, EVERY_THREE_LABELS), tuple(EVERY_THREE)), (0,), 1)
+@example((labelled_relation(EVERY_THREE, EVERY_THREE_LABELS), tuple(EVERY_THREE)), (2,), 2)
+def test_refine_equals_naive_grouping_of_small_classes(case, over, least):
+    # ``partition`` runs the same splitter as ``refine``; this checks the
+    # closed forms for small classes against grouping by label strings
+    r, classes = case
+    if least == 2:
+        classes = tuple(c for c in classes if len(c) >= 2)
+    got = refine(Partition(over, classes), r, 1, least)
+    joined = attr_set(over + (1,))
+    want = [tuple(c) for c in naive_partition(r.rows, joined) if len(c) >= least]
+    assert got == Partition(joined, tuple(sorted(want)))
+    assert [c[0] for c in got.classes] == sorted(c[0] for c in got.classes)
+    assert all(list(c) == sorted(c) for c in got.classes)
+
+
+def test_is_superkey_means_every_class_is_one_tuple():
+    rng = random.Random(25)
+    seen = set()
+    for _ in range(200):
+        r = random_relation(rng, max_attrs=6, max_rows=12)
+        x = attr_set(rng.sample(range(len(r.schema)), rng.randint(0, len(r.schema))))
+        for p in (partition(r, x), strip(partition(r, x))):
+            want = all(len(c) == 1 for c in p.classes)
+            assert p.is_superkey == want
+            seen.add((want, len(p.classes[0]) == 1 if p.classes else None))
+    # superkeys and not, including full partitions that open with a
+    # one-tuple class but are no superkey
+    assert {(True, True), (False, True), (False, False)} <= seen
 
 
 def test_pair_outside_the_other_partition_is_dropped():

@@ -1,6 +1,8 @@
 """Exact and approximate candidate verification."""
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 from itertools import combinations
 
@@ -229,6 +231,29 @@ def test_rejects_rhs_inside_antecedent(clinical, clinical_ontology):
         verify_synonym(clinical, clinical_ontology, stripped(clinical, [CC]), CC)
     with pytest.raises(ValueError):
         Ofd((CC,), CC, Synonym())
+
+
+def test_ofd_is_a_frozen_dataclass():
+    ofd = Ofd((0, 2), 1, Inheritance(2), 0.5)
+    assert ofd == Ofd(lhs=(0, 2), rhs=1, kind=Inheritance(2), support=0.5)
+    assert hash(ofd) == hash(Ofd((0, 2), 1, Inheritance(2), 0.5))
+    assert ofd != Ofd((0, 2), 1, Inheritance(2)) and ofd != Ofd((0, 2), 1, Synonym(), 0.5)
+    assert repr(ofd) == "Ofd(lhs=(0, 2), rhs=1, kind=Inheritance(theta=2), support=0.5)"
+    assert Ofd((0,), 1, Synonym()).support is None
+    assert Ofd(rhs=1, kind=Synonym(), lhs=(0,)) == Ofd((0,), 1, Synonym(), None)
+    with pytest.raises(ValueError, match="trivial"):
+        Ofd(lhs=(0, 1), rhs=1, kind=Synonym())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ofd.support = 1.0
+    assert [f.name for f in dataclasses.fields(Ofd)] == ["lhs", "rhs", "kind", "support"]
+    assert dataclasses.replace(ofd, support=1.0) == Ofd((0, 2), 1, Inheritance(2), 1.0)
+    with pytest.raises(ValueError, match="trivial"):
+        dataclasses.replace(ofd, rhs=2)
+    assert dataclasses.asdict(ofd) == {
+        "lhs": (0, 2), "rhs": 1, "kind": {"theta": 2}, "support": 0.5
+    }
+    copy = pickle.loads(pickle.dumps(ofd))
+    assert copy == ofd and hash(copy) == hash(ofd)
 
 
 def test_fast_path_flag_changes_nothing():
