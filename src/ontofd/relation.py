@@ -172,7 +172,7 @@ def strip(part: Partition) -> Partition:
 def _split(part: Partition, label: Sequence[int], over: AttrSet, least: int) -> Partition:
     """Split every class of ``part`` by ``label[t]``.
 
-    Groups of fewer than ``least`` tuples, 1 or 2, are dropped.  Classes are
+    ``least`` is 1 or 2, and groups of fewer tuples are dropped.  Classes are
     walked in tuple order, so every group comes out sorted.  Classes of up
     to three tuples, the most common ones deep in the lattice, need no
     grouping: each stays whole when its labels are equal, and otherwise

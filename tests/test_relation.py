@@ -209,7 +209,8 @@ def labelled_relation(classes, labels):
     """A table over the tuples of ``classes`` whose columns 0 and 2 name
     each tuple's class and whose column 1 holds ``labels[t]``."""
     name = {t: str(i) for i, cls in enumerate(classes) for t in cls}
-    return relation_from_rows(["C", "L", "D"], [(name[t], labels[t], name[t]) for t in sorted(name)])
+    rows = [(name[t], labels[t], name[t]) for t in sorted(name)]
+    return relation_from_rows(["C", "L", "D"], rows)
 
 
 @st.composite
@@ -235,7 +236,9 @@ def labelled_classes(draw):
 
 # Each of the five patterns once, in classes interleaved by tuple id.
 EVERY_THREE = [(0, 5, 10), (1, 6, 11), (2, 7, 12), (3, 8, 13), (4, 9, 14)]
-EVERY_THREE_LABELS = {t: THREE_LABELS[i][j] for i, c in enumerate(EVERY_THREE) for j, t in enumerate(c)}
+EVERY_THREE_LABELS = {
+    t: THREE_LABELS[i][j] for i, cls in enumerate(EVERY_THREE) for j, t in enumerate(cls)
+}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
