@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .inference import kind_label
-from .lattice import DiscoveryConfig, discover, ofd_order
+from .lattice import DiscoveryConfig, discover
 from .ontology import OntologyError, load_ontology
 from .relation import Partition, Relation, RelationError, load_relation
 from .repair import (
@@ -203,21 +203,12 @@ def run(cfg: RunConfig) -> int:
 
     for kind in kinds:
         disc_cfg = DiscoveryConfig(
-            kind=kind,
-            tau=cfg.tau,
-            max_level=cfg.max_level,
-            opt2=cfg.opt2,
-            opt3=cfg.opt3,
-            opt4=cfg.opt4,
-            stripped=cfg.stripped,
+            kind, cfg.tau, cfg.max_level, cfg.opt2, cfg.opt3, cfg.opt4, cfg.stripped
         )
-        start = len(entries)
         result = discover(
             relation, ontology, disc_cfg, on_ofd=report if cfg.report_violations else None
         )
         all_ofds.extend(result.ofds)
-        # Entries arrive level by level; put them in the order of ``result.ofds``.
-        entries[start:] = sorted(entries[start:], key=lambda entry: ofd_order(entry.ofd))
         label = kind_label(kind)
         stats_rows.extend({"kind": label, **asdict(stats)} for stats in result.per_level)
 
@@ -265,63 +256,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags whose ``dest`` is a ``RunConfig`` field; an absent flag is left
+    out of the namespace, so ``RunConfig`` holds every default."""
     parser = _Parser(
         prog="ontofd",
         description="Discover synonym and inheritance dependencies from a CSV "
         "table and a JSON ontology.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--input", required=True, help="CSV file with a header row")
-    parser.add_argument("--ontology", required=True, help="ontology JSON file")
-    parser.add_argument("--mode", choices=["syn", "inh", "both"], default="syn")
-    parser.add_argument("--theta", type=int, default=None,
-                        help="is-a distance bound (inheritance modes)")
-    parser.add_argument("--tau", type=float, default=1.0,
-                        help="minimum support, 1.0 = exact (default)")
-    parser.add_argument("--max-level", type=int, default=None,
-                        help="largest antecedent size to explore")
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--stats", default=None, help="write per-level stats JSON here")
-    parser.add_argument("--no-opt2", action="store_true",
+    parser.add_argument("--input", required=True, dest="input_path", metavar="INPUT",
+                        help="CSV file with a header row")
+    parser.add_argument("--ontology", required=True, dest="ontology_path",
+                        metavar="ONTOLOGY", help="ontology JSON file")
+    parser.add_argument("--mode", choices=["syn", "inh", "both"])
+    parser.add_argument("--theta", type=int, help="is-a distance bound (inheritance modes)")
+    parser.add_argument("--tau", type=float, help="minimum support, 1.0 = exact (default)")
+    parser.add_argument("--max-level", type=int, help="largest antecedent size to explore")
+    parser.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                        help="output path (default stdout)")
+    parser.add_argument("--format", choices=["json", "text"], dest="report_format")
+    parser.add_argument("--stats", dest="stats_path", metavar="STATS",
+                        help="write per-level stats JSON here")
+    parser.add_argument("--no-opt2", action="store_false", dest="opt2",
                         help="disable superset pruning of found dependencies")
-    parser.add_argument("--no-opt3", action="store_true",
+    parser.add_argument("--no-opt3", action="store_false", dest="opt3",
                         help="disable superkey shortcutting")
-    parser.add_argument("--no-opt4", action="store_true",
+    parser.add_argument("--no-opt4", action="store_false", dest="opt4",
                         help="disable the equal-values shortcut")
-    parser.add_argument("--no-strip", action="store_true",
+    parser.add_argument("--no-strip", action="store_false", dest="stripped",
                         help="keep singleton classes in the partitions")
     parser.add_argument("--report-violations", action="store_true")
-    parser.add_argument("--inject-errors", type=float, default=None, metavar="RATE")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--inject-errors", type=float, dest="inject_rate", metavar="RATE")
+    parser.add_argument("--seed", type=int)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        input_path=args.input,
-        ontology_path=args.ontology,
-        mode=args.mode,
-        theta=args.theta,
-        tau=args.tau,
-        max_level=args.max_level,
-        output_path=args.output,
-        report_format=args.format,
-        stats_path=args.stats,
-        opt2=not args.no_opt2,
-        opt3=not args.no_opt3,
-        opt4=not args.no_opt4,
-        stripped=not args.no_strip,
-        report_violations=args.report_violations,
-        inject_rate=args.inject_errors,
-        seed=args.seed,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     except CliConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

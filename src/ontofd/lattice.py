@@ -13,11 +13,12 @@ smallest class kept, 2 for stripped partitions.
 
 Attribute sets and candidate sets are ``int`` bitmasks, bit ``a`` standing
 for attribute ``a``, as in TANE; Python ints are unbounded, so any width
-works.  The parent of ``X`` without ``A`` is ``X ^ (1 << A)``, and a level is
-a dict from mask to node.  Each node also keeps its sorted attribute tuple,
-from which the emitted antecedents are cut.  The next level is built from
-prefix blocks, the live nodes that share all but their last attribute,
-keyed by ``mask ^ (1 << attrs[-1])``.
+works.  The parent of ``X`` without ``A`` is ``X ^ (1 << A)``.  A level is a
+list of nodes in attribute-tuple order, and the previous level is looked up
+through ``parents``, a dict from mask to node.  Each node also keeps its
+sorted attribute tuple, from which the emitted antecedents are cut.  The
+next level is built from prefix blocks, the live nodes that share all but
+their last attribute, keyed by ``mask ^ (1 << attrs[-1])``.
 
 With both candidate-set pruning and superkey shortcutting on, a node that is
 a superkey, has a superkey parent, and keeps none of its own attributes in
@@ -262,6 +263,9 @@ def compute_ofds(
             elif prune and not node.candidates & mask:
                 node.dead = True
                 acc.pruned += 1
+    # One level's antecedents are all one size, so the sorted levels join
+    # in output order.
+    emitted.sort(key=ofd_order)
     acc.ofds.extend(emitted)
     return emitted
 
@@ -282,12 +286,13 @@ def discover(
     """Complete, minimal set of dependencies holding with support >= tau.
 
     Antecedents are non-empty attribute sets; the consequent never appears in
-    the antecedent.  Output is sorted by ``ofd_order``.
+    the antecedent.  Output is sorted by ``ofd_order``, and ``keys_found``
+    by size, then attributes.
 
     ``on_ofd(ofd, part)`` is called for each dependency as its level is
     found, with ``part`` the antecedent's partition (stripped unless
     ``cfg.stripped`` is off), so a caller can use it before the level is
-    dropped.  Calls come in discovery order, not in output order.
+    dropped.  Calls come in the order of ``result.ofds``.
     """
     n_attrs = len(relation.schema)
     if n_attrs == 0:
@@ -338,6 +343,4 @@ def discover(
         level = calculate_next_level(level, relation, cfg)
         product_seconds = time.perf_counter() - started
         node_size += 1
-    acc.ofds.sort(key=ofd_order)
-    acc.keys_found.sort(key=lambda k: (len(k), k))
     return DiscoveryResult(acc.ofds, per_level, acc.keys_found)

@@ -211,12 +211,9 @@ def agreement(
     return n - lost
 
 
-def _verify(table: SenseTable, part: Partition, equal_fast_path: bool) -> VerifyOutcome:
+def _verify(table: SenseTable, part: Partition) -> VerifyOutcome:
     codes = table.codes.__getitem__
-    failing = [
-        cls for cls in part.classes
-        if agreement(table, (cls,), 1.0, equal_fast_path) is None
-    ]
+    failing = [cls for cls in part.classes if agreement(table, (cls,), 1.0, True) is None]
     witnesses = tuple(
         ViolatingClass(cls[0], tuple(table.values[c] for c in dict.fromkeys(map(codes, cls))))
         for cls in failing
@@ -284,12 +281,10 @@ def verify(
     part: Partition,
     a: int,
     kind: OfdKind,
-    *,
-    equal_fast_path: bool = True,
 ) -> VerifyOutcome:
     """Exact check of ``part -> a``, with every violating class as a witness."""
     check_attr(relation, part, a)
-    return _verify(sense_table(relation, ontology, a, kind), part, equal_fast_path)
+    return _verify(sense_table(relation, ontology, a, kind), part)
 
 
 def support(
@@ -309,11 +304,9 @@ def verify_synonym(
     ontology: Ontology,
     part: Partition,
     a: int,
-    *,
-    equal_fast_path: bool = True,
 ) -> VerifyOutcome:
     """Exact synonym check: every class's distinct values share a sense."""
-    return verify(relation, ontology, part, a, Synonym(), equal_fast_path=equal_fast_path)
+    return verify(relation, ontology, part, a, Synonym())
 
 
 def verify_inheritance(
@@ -322,13 +315,9 @@ def verify_inheritance(
     part: Partition,
     a: int,
     theta: int,
-    *,
-    equal_fast_path: bool = True,
 ) -> VerifyOutcome:
     """Exact inheritance check: a common ancestor within ``theta`` per class."""
-    return verify(
-        relation, ontology, part, a, Inheritance(theta), equal_fast_path=equal_fast_path
-    )
+    return verify(relation, ontology, part, a, Inheritance(theta))
 
 
 def support_synonym(

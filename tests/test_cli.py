@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from ontofd.cli import (
     RunConfig,
     CliConfigError,
+    build_parser,
     inject_errors,
     main,
     ofds_to_records,
@@ -136,6 +137,32 @@ def test_inject_errors_without_output_is_a_config_error(capsys):
     assert "--output" in captured.err and "--inject-errors" in captured.err
     with pytest.raises(CliConfigError, match="--output"):
         RunConfig(input_path="x", ontology_path="y", inject_rate=0.1)
+
+
+NO_FLAGS = {"--no-opt2": "opt2", "--no-opt3": "opt3", "--no-opt4": "opt4", "--no-strip": "stripped"}
+
+
+def parsed_config(*argv):
+    args = build_parser().parse_args(["--input", "x", "--ontology", "y", *argv])
+    return RunConfig(**vars(args))
+
+
+def test_flags_map_onto_run_config_fields():
+    # every flag names its RunConfig field, and only RunConfig holds defaults
+    every_flag = [
+        "--input", "x", "--ontology", "y", "--mode", "both", "--theta", "2", "--tau", "0.5",
+        "--max-level", "3", "--output", "o", "--format", "text", "--stats", "s", *NO_FLAGS,
+        "--report-violations", "--inject-errors", "0.1", "--seed", "4",
+    ]
+    assert set(vars(build_parser().parse_args(every_flag))) == {f.name for f in fields(RunConfig)}
+    assert parsed_config(*every_flag[4:]) == RunConfig(
+        input_path="x", ontology_path="y", mode="both", theta=2, tau=0.5, max_level=3,
+        output_path="o", report_format="text", stats_path="s", opt2=False, opt3=False,
+        opt4=False, stripped=False, report_violations=True, inject_rate=0.1, seed=4,
+    )
+    assert parsed_config() == RunConfig("x", "y")
+    for flag, field in NO_FLAGS.items():
+        assert parsed_config(flag) == replace(RunConfig("x", "y"), **{field: False}), flag
 
 
 def test_text_format(tmp_path):

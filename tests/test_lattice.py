@@ -351,11 +351,12 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
     # downstream: {CC, SYMP} -> CTRY is not minimal and never gets tested
     parents2 = {n.mask: n for n in level2}
     level3 = calculate_next_level(level2, clinical, cfg)
-    tested_before = acc.candidates_tested
-    compute_ofds(level3, parents2, clinical, clinical_ontology, cfg, acc)
+    found_before = len(acc.ofds)
+    emitted3 = compute_ofds(level3, parents2, clinical, clinical_ontology, cfg, acc)
     node3 = next(n for n in level3 if n.attrs == (CC, CTRY, SYMP))
     assert not node3.candidates >> CTRY & 1
-    assert not any(o.rhs == CTRY for o in acc.ofds[tested_before:] if CC in o.lhs)
+    assert acc.ofds[found_before:] == emitted3 and emitted3
+    assert not any(o.rhs == CTRY for o in emitted3 if CC in o.lhs)
 
 
 def test_keys_found_are_brute_force_minimal_keys():

@@ -265,9 +265,6 @@ def test_fast_path_flag_changes_nothing():
                 if rhs in lhs:
                     continue
                 part = stripped(relation, lhs)
-                fast = verify_synonym(relation, ontology, part, rhs)
-                slow = verify_synonym(relation, ontology, part, rhs, equal_fast_path=False)
-                assert (fast.holds, fast.support) == (slow.holds, slow.support)
                 f = support_synonym(relation, ontology, part, rhs)
                 s = reference_support(relation, ontology, part, rhs, Synonym(), False)
                 assert (f.support, f.classes) == (s.support, s.classes)
@@ -322,8 +319,6 @@ def test_equal_pair_without_the_fast_path():
         part = stripped(relation, [0])
         table = sense_table(relation, PAIR_ONTOLOGY, 1, Synonym())
         assert agreement(table, part.classes, 1.0, False) == 2
-        out = verify(relation, PAIR_ONTOLOGY, part, 1, Synonym(), equal_fast_path=False)
-        assert out.holds and out.support == 1.0
         assert support(relation, PAIR_ONTOLOGY, part, 1, Synonym()).classes[0].others == ()
 
 
@@ -381,7 +376,8 @@ def checked_candidates(draw):
 def test_encoded_checks_equal_string_reference(candidate):
     relation, ontology, part, kind, fast = candidate
     args = (relation, ontology, part, 1, kind)
-    assert verify(*args, equal_fast_path=fast) == reference_verify(*args, fast)
+    # the reference's fast path, on or off, changes no exact result
+    assert verify(*args) == reference_verify(*args, True) == reference_verify(*args, False)
     want = reference_support(*args, fast)
     assert support(*args) == want
     # the kernel at every threshold k / n, where the early abort is tightest
