@@ -244,6 +244,24 @@ def test_report_bytes_equal_under_every_ablation_flag(tmp_path):
     assert reports[0] == (json.dumps(records, indent=2) + "\n").encode()
 
 
+def test_violations_file_is_open_before_the_second_kind_is_discovered(tmp_path, monkeypatch):
+    # each record is written as discovery finds it, so the file exists
+    # before any kind is discovered rather than after the last one
+    import ontofd.cli
+
+    real = ontofd.cli.discover
+    violations = tmp_path / "out.json.violations.json"
+    exists_at_start = []
+
+    def recording(*args, **kwargs):
+        exists_at_start.append(violations.exists())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ontofd.cli, "discover", recording)
+    code, _ = run_cli(tmp_path, "--mode", "both", "--theta", "2", "--report-violations")
+    assert code == 0 and exists_at_start == [True, True]
+
+
 def test_report_makes_no_partition_of_its_own(tmp_path, monkeypatch):
     # the report reuses discovery's antecedent partitions, so it splits no
     # class that discovery did not
