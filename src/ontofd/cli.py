@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +17,7 @@ from typing import Sequence
 from .inference import kind_label
 from .lattice import DiscoveryConfig, discover
 from .ontology import OntologyError, load_ontology
-from .relation import Partition, Relation, RelationError, load_relation
+from .relation import Partition, RelationError, load_relation
 from .repair import (
     CellChange,
     OfdViolationEntry,
@@ -112,9 +113,9 @@ def _ofd_field(key: str, value: object) -> str:
     return f"{_STR(key)}: {text}"
 
 
-def violations_json(entries: Sequence[OfdViolationEntry], schema: Sequence[str]) -> str:
-    """The violations file: ``json.dumps(records, indent=2)`` of one record
-    per entry, written straight from the entries.
+def violation_record(entry: OfdViolationEntry, schema: Sequence[str]) -> str:
+    """One record of the violations file, as ``json.dumps(records, indent=2)``
+    writes it inside the list, built straight from the entry.
 
     A record holds ``ofd`` (the entry's ``ofd_to_record``), ``support``,
     ``false_positive_savings`` and ``violations``, one object per violating
@@ -124,27 +125,24 @@ def violations_json(entries: Sequence[OfdViolationEntry], schema: Sequence[str])
     about four times as long on a 1.6 MB report.
     """
     _, at1, at2, at3, at4, _ = _LINE
-    records = []
-    for entry in entries:
-        ofd = f",{at3}".join(
-            _ofd_field(key, value) for key, value in ofd_to_record(entry.ofd, schema).items()
-        )
-        classes = [
-            f'{{{at4}"class_representative": {v.representative!r},'
-            f'{at4}"majority_sense": {_STR(v.majority_sense)},'
-            f'{at4}"majority_tuples": {_json_list(list(map(repr, v.majority_tuples)), 4)},'
-            f'{at4}"minority_tuples": {_json_list(list(map(repr, v.minority_tuples)), 4)},'
-            f'{at4}"minority_values": {_json_list(list(map(_STR, v.minority_values)), 4)},'
-            f'{at4}"suggested_value": {_STR(v.suggested_value)}{at3}}}'
-            for v in entry.violations
-        ]
-        records.append(
-            f'{{{at2}"ofd": {{{at3}{ofd}{at2}}},'
-            f'{at2}"support": {entry.support!r},'
-            f'{at2}"false_positive_savings": {entry.false_positive_savings!r},'
-            f'{at2}"violations": {_json_list(classes, 2)}{at1}}}'
-        )
-    return _json_list(records, 0)
+    ofd = f",{at3}".join(
+        _ofd_field(key, value) for key, value in ofd_to_record(entry.ofd, schema).items()
+    )
+    classes = [
+        f'{{{at4}"class_representative": {v.representative!r},'
+        f'{at4}"majority_sense": {_STR(v.majority_sense)},'
+        f'{at4}"majority_tuples": {_json_list(list(map(repr, v.majority_tuples)), 4)},'
+        f'{at4}"minority_tuples": {_json_list(list(map(repr, v.minority_tuples)), 4)},'
+        f'{at4}"minority_values": {_json_list(list(map(_STR, v.minority_values)), 4)},'
+        f'{at4}"suggested_value": {_STR(v.suggested_value)}{at3}}}'
+        for v in entry.violations
+    ]
+    return (
+        f'{{{at2}"ofd": {{{at3}{ofd}{at2}}},'
+        f'{at2}"support": {entry.support!r},'
+        f'{at2}"false_positive_savings": {entry.false_positive_savings!r},'
+        f'{at2}"violations": {_json_list(classes, 2)}{at1}}}'
+    )
 
 
 def _format_text(records: list[dict]) -> str:
@@ -194,60 +192,53 @@ def run(cfg: RunConfig) -> int:
         kinds.append(Inheritance(cfg.theta or 0))
 
     all_ofds: list[Ofd] = []
-    entries: list[OfdViolationEntry] = []
     stats_rows: list[dict] = []
-
-    def report(ofd: Ofd, part: Partition) -> None:
-        # The report takes each antecedent partition while discovery holds it.
-        entries.append(violation_entry(relation, ontology, ofd, part))
-
-    for kind in kinds:
-        disc_cfg = DiscoveryConfig(
-            kind, cfg.tau, cfg.max_level, cfg.opt2, cfg.opt3, cfg.opt4, cfg.stripped
-        )
-        result = discover(
-            relation, ontology, disc_cfg, on_ofd=report if cfg.report_violations else None
-        )
-        all_ofds.extend(result.ofds)
-        label = kind_label(kind)
-        stats_rows.extend({"kind": label, **asdict(stats)} for stats in result.per_level)
-
     try:
-        _write_artifacts(cfg, relation, all_ofds, entries, stats_rows, inject_log)
+        with (
+            open(cfg.output_path + ".violations.json", "w", encoding="utf-8")
+            if cfg.report_violations else nullcontext()
+        ) as report_file:
+            head = "["
+
+            def report(ofd: Ofd, part: Partition) -> None:
+                # Each record is written as its dependency is found, from the
+                # partition discovery holds; the calls come in the file's order.
+                nonlocal head
+                entry = violation_entry(relation, ontology, ofd, part)
+                report_file.write(head + _LINE[1] + violation_record(entry, relation.schema))
+                head = ","
+
+            for kind in kinds:
+                disc_cfg = DiscoveryConfig(
+                    kind, cfg.tau, cfg.max_level, cfg.opt2, cfg.opt3, cfg.opt4, cfg.stripped
+                )
+                result = discover(
+                    relation, ontology, disc_cfg,
+                    on_ofd=report if cfg.report_violations else None,
+                )
+                all_ofds.extend(result.ofds)
+                label = kind_label(kind)
+                stats_rows.extend({"kind": label, **asdict(row)} for row in result.per_level)
+            if cfg.report_violations:
+                report_file.write("[]\n" if head == "[" else "\n]\n")
+
+        records = ofds_to_records(all_ofds, relation.schema)
+        if cfg.report_format == "json":
+            _write(cfg.output_path, json.dumps(records, indent=2) + "\n")
+        else:
+            _write(cfg.output_path, _format_text(records))
+        if cfg.stats_path is not None:
+            _write(cfg.stats_path, json.dumps(stats_rows, indent=2) + "\n")
+        if cfg.inject_rate is not None:
+            log_records = [
+                {"row": c.row, "column": relation.schema[c.column], "old": c.old, "new": c.new}
+                for c in inject_log
+            ]
+            _write(cfg.output_path + ".inject-log.json", json.dumps(log_records, indent=2) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _write_artifacts(
-    cfg: RunConfig,
-    relation: Relation,
-    all_ofds: list[Ofd],
-    entries: list[OfdViolationEntry],
-    stats_rows: list[dict],
-    inject_log: list[CellChange],
-) -> None:
-    """Write the output, stats, injection log and violation report."""
-    records = ofds_to_records(all_ofds, relation.schema)
-    if cfg.report_format == "json":
-        _write(cfg.output_path, json.dumps(records, indent=2) + "\n")
-    else:
-        _write(cfg.output_path, _format_text(records))
-
-    if cfg.stats_path is not None:
-        _write(cfg.stats_path, json.dumps(stats_rows, indent=2) + "\n")
-
-    if cfg.inject_rate is not None:
-        log_records = [
-            {"row": c.row, "column": relation.schema[c.column], "old": c.old, "new": c.new}
-            for c in inject_log
-        ]
-        _write(cfg.output_path + ".inject-log.json", json.dumps(log_records, indent=2) + "\n")
-
-    if cfg.report_violations:
-        report = violations_json(entries, relation.schema)
-        _write(cfg.output_path + ".violations.json", report + "\n")
 
 
 class _Parser(argparse.ArgumentParser):

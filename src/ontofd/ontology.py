@@ -76,7 +76,6 @@ class Ontology:
                         f"class {cls.id!r} references unknown parent {parent!r}"
                     )
         self._check_acyclic()
-        self._value_index: dict[str, frozenset[ClassId]] = {}
         index: dict[str, set[ClassId]] = {}
         for cls in self._classes.values():
             for synonym in cls.synonyms:

@@ -17,7 +17,7 @@ from ontofd.cli import (
     inject_errors,
     main,
     ofds_to_records,
-    violations_json,
+    violation_record,
 )
 from ontofd.inference import ofd_set, ofd_set_from_records
 from ontofd.lattice import DiscoveryConfig, LevelStats, discover
@@ -242,6 +242,42 @@ def test_report_bytes_equal_under_every_ablation_flag(tmp_path):
     )
     assert len(records) > 1 and any(record["violations"] for record in records)
     assert reports[0] == (json.dumps(records, indent=2) + "\n").encode()
+
+
+def test_report_of_a_run_that_discovers_nothing_is_an_empty_list(tmp_path):
+    table, ontology = tmp_path / "t.csv", tmp_path / "o.json"
+    table.write_text("a,b\n1,2\n1,3\n2,2\n")
+    ontology.write_text('{"classes": []}')
+    out = tmp_path / "out.json"
+    code = main([
+        "--input", str(table), "--ontology", str(ontology), "--output", str(out),
+        "--report-violations",
+    ])
+    assert code == 0 and out.read_text() == "[]\n"
+    assert Path(f"{out}.violations.json").read_bytes() == b"[]\n"
+
+
+def test_report_of_exact_dependencies_lists_no_violations(tmp_path):
+    code, out = run_cli(tmp_path, "--mode", "syn", "--report-violations")
+    relation, ontology = load_relation(CLINICAL), load_ontology(ONTOLOGY)
+    ofds = discover(relation, ontology, DiscoveryConfig(Synonym())).ofds
+    records = violation_report_to_records(
+        report_violations(relation, ontology, ofds), relation.schema
+    )
+    assert code == 0 and len(records) > 1
+    assert all(record["violations"] == [] for record in records)
+    assert Path(f"{out}.violations.json").read_text() == json.dumps(records, indent=2) + "\n"
+
+
+def test_unwritable_violations_file_exits_2_with_one_line(tmp_path, capsys):
+    # the file is opened before discovery, so the run stops there and
+    # writes no output
+    target = tmp_path / "out.json.violations.json"
+    target.mkdir()
+    code, _ = run_cli(tmp_path, "--mode", "syn", "--report-violations")
+    err = capsys.readouterr().err
+    assert code == 2 and list(tmp_path.iterdir()) == [target]
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_violations_file_is_open_before_the_second_kind_is_discovered(tmp_path, monkeypatch):
@@ -605,4 +641,5 @@ def violation_reports(draw):
 def test_violations_writer_equals_indented_dumps_of_the_records(report_and_schema):
     report, schema = report_and_schema
     records = violation_report_to_records(report, schema)
-    assert violations_json(report.entries, schema) == json.dumps(records, indent=2)
+    for entry, record in zip(report.entries, records, strict=True):
+        assert "[\n  " + violation_record(entry, schema) + "\n]" == json.dumps([record], indent=2)
