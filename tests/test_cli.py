@@ -587,8 +587,11 @@ def test_invalid_utf8_exits_2_with_one_line(tmp_path, capsys, target):
     ("ontology", b'{"classes": [{"id": ["x"], "synonyms": [5]}]}'),
     ("input", b"\xef\xbb\xbf\n"),
     ("ontology", b'{"classes": [], "x": ' + b"1" * 5000 + b"}"),
+    ("input", b'A,B\n1,"x\n2,3\n'),
+    ("input", b'A,B\n"1" ,2\n'),
+    ("ontology", b'{"classes": [{"id": "x", "synonyms": ["a"], "synonyms": ["b"]}]}'),
 ], ids=["blank-header", "oversized-field", "deep-json", "non-string-id", "bom-blank-header",
-        "huge-int"])
+        "huge-int", "open-quote", "text-after-quote", "repeated-key"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, target, content):
     bad = tmp_path / "bad"
     bad.write_bytes(content)

@@ -95,6 +95,17 @@ def test_load_errors_are_distinct():
             make([entry, {"id": "5", "synonyms": ["z"]}])
 
 
+def test_repeated_keys_are_rejected():
+    # the JSON parser would keep only the last of a repeated key, dropping
+    # the synonyms ["a"] or every class of the first "classes" list
+    for text, key in (
+        ('{"classes": [{"id": "x", "synonyms": ["a"], "synonyms": ["b"]}]}', "synonyms"),
+        ('{"classes": [{"id": "x", "synonyms": ["a"]}], "classes": []}', "classes"),
+    ):
+        with pytest.raises(OntologyError, match=f"repeated key '{key}'"):
+            load_ontology(io.StringIO(text))
+
+
 def test_deeply_nested_document_is_rejected():
     text = '{"classes": ' + "[" * 100_000 + "]" * 100_000 + "}"
     with pytest.raises(OntologyError, match="nested too deeply"):

@@ -64,6 +64,17 @@ def test_load_errors():
     assert load_relation(io.StringIO("a\n" + "x" * 131_072 + "\n")).rows == (("x" * 131_072,),)
 
 
+def test_malformed_quoting_is_rejected():
+    # a quote left open would swallow the rest of the file into one cell,
+    # and text after a closing quote would be glued onto the field
+    with pytest.raises(RelationError, match="line 3: unexpected end of data"):
+        load_relation(io.StringIO('a,b\n1,"x\n2,3\n'))
+    with pytest.raises(RelationError, match="line 2: ',' expected after '\"'"):
+        load_relation(io.StringIO('a,b\n"1" ,2\n'))
+    # a quote inside an unquoted field stays a plain character
+    assert load_relation(io.StringIO('a,b\n1,x"y\n')).rows == (("1", 'x"y'),)
+
+
 def test_leading_bom_is_dropped(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes("\ufeffA,B\n\ufeffx,y\n".encode("utf-8"))
