@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping
@@ -180,6 +181,17 @@ class Ontology:
         return frozen
 
 
+def _without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a repeated key, which ``json`` would resolve to
+    its last value, raises ``OntologyError``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise OntologyError(f"ontology JSON has a repeated key {key!r} in one object")
+    return obj
+
+
 def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = False) -> Ontology:
     """Load an ontology from a JSON document.
 
@@ -188,15 +200,16 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
     string, and ``synonyms`` and ``parents`` lists of strings.  Synonym
     strings are trimmed of surrounding whitespace and may not be empty after
     trimming; cell values are never trimmed.  Bytes that are not UTF-8, and
-    JSON that is malformed, nested deeper than the parser's recursion limit
-    or holds an integer over Python's digit limit, raise ``OntologyError``.
+    JSON that is malformed, repeats a key within one object, is nested
+    deeper than the parser's recursion limit or holds an integer over
+    Python's digit limit, raise ``OntologyError``.
     """
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8") as handle:
-                document = json.load(handle)
-        else:
-            document = json.load(source)
+        opened = isinstance(source, (str, Path))
+        with open(source, encoding="utf-8") if opened else nullcontext(source) as handle:
+            document = json.load(handle, object_pairs_hook=_without_repeated_keys)
+    except OntologyError:
+        raise
     except UnicodeDecodeError as exc:
         raise OntologyError(f"ontology is not valid UTF-8: {exc.reason}") from None
     except RecursionError:

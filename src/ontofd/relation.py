@@ -131,15 +131,19 @@ def load_relation(
     names ``A1..An`` are synthesized from the first data row's width.  A
     byte-order mark at the start of the input is dropped before parsing.
     Rows are encoded as they are parsed.  Bytes that are not UTF-8, an empty
-    first row, and a field longer than the ``csv`` module's limit (131,072
-    characters by default) raise ``RelationError``.
+    first row, a quote left open at the end of the input, text between a
+    closing quote and the next delimiter, and a field longer than the
+    ``csv`` module's limit (131,072 characters by default) raise
+    ``RelationError``.
     """
     opened = isinstance(source, (str, Path))
     with open(source, encoding="utf-8", newline="") if opened else nullcontext(source) as text:
         lines = iter(text)
         try:
             first = next(lines, "").removeprefix("\ufeff")
-            reader = csv.reader(chain([first] if first else [], lines), delimiter=delimiter)
+            reader = csv.reader(
+                chain([first] if first else [], lines), delimiter=delimiter, strict=True
+            )
             names = next(reader, None)
             if not names:
                 raise RelationError("the first row has no cells" if names == [] else "empty input")
