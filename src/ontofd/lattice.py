@@ -33,7 +33,7 @@ antecedents, and ``max_level`` caps the antecedent size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .ontology import Ontology
@@ -195,27 +195,21 @@ def apply_optimizations(
     return examine, examine & key_parents if cfg.opt3 else 0, key_parents
 
 
-@dataclass
-class _Accumulator:
-    """Mutable search state shared across levels."""
-
-    ofds: list[Ofd] = field(default_factory=list)
-    keys_found: list[AttrSet] = field(default_factory=list)
-    candidates_tested: int = 0
-    key_resolved: int = 0
-    pruned: int = 0
-
-
 def compute_ofds(
     level: Sequence[LatticeNode],
     parents: Mapping[int, LatticeNode],
     relation: Relation,
     ontology: Ontology,
     cfg: DiscoveryConfig,
-    acc: _Accumulator,
-) -> list[Ofd]:
-    """Test the candidates of one level, prune the candidate sets, record the
-    level's minimal keys, and mark the level's dead nodes.
+    result: DiscoveryResult,
+) -> tuple[list[Ofd], int, int, int]:
+    """Test the candidates of one level, prune the candidate sets, append
+    the level's dependencies and minimal keys to ``result``, and mark the
+    level's dead nodes.
+
+    Returns ``(emitted, tested, key_resolved, pruned)``: the level's
+    dependencies in output order, the candidates tested, those of them the
+    superkey shortcut decided, and the nodes found dead.
 
     Being a superkey carries over to supersets, so a superkey node is a
     minimal key exactly when none of its parents is a superkey; every parent
@@ -235,6 +229,7 @@ def compute_ofds(
     tables = [sense_table(relation, ontology, a, cfg.kind) for a in range(len(relation.schema))]
     prune = cfg.opt2 and cfg.opt3
     emitted: list[Ofd] = []
+    tested = resolved = pruned = 0
     for node in level:
         examine, key_resolved, key_parents = apply_optimizations(node, parents, cfg)
         attrs = node.attrs
@@ -243,9 +238,9 @@ def compute_ofds(
             bit = 1 << a
             if not examine & bit:
                 continue
-            acc.candidates_tested += 1
+            tested += 1
             if key_resolved & bit:
-                acc.key_resolved += 1
+                resolved += 1
                 satisfied: int | None = n
             else:
                 satisfied = agreement(
@@ -259,15 +254,15 @@ def compute_ofds(
             node.candidates &= ~bit
         if node.is_superkey:
             if not key_parents:
-                acc.keys_found.append(attrs)
+                result.keys_found.append(attrs)
             elif prune and not node.candidates & mask:
                 node.dead = True
-                acc.pruned += 1
+                pruned += 1
     # One level's antecedents are all one size, so the sorted levels join
     # in output order.
     emitted.sort(key=ofd_order)
-    acc.ofds.extend(emitted)
-    return emitted
+    result.ofds.extend(emitted)
+    return emitted, tested, resolved, pruned
 
 
 def ofd_order(ofd: Ofd) -> tuple:
@@ -289,6 +284,9 @@ def discover(
     the antecedent.  Output is sorted by ``ofd_order``, and ``keys_found``
     by size, then attributes.
 
+    One pass per antecedent size builds the next level's nodes, stops when
+    there are none or the size passes ``max_level``, tests them with
+    ``compute_ofds``, runs the hook and appends the level's ``LevelStats``.
     ``on_ofd(ofd, part)`` is called for each dependency as its level is
     found, with ``part`` the antecedent's partition (stripped unless
     ``cfg.stripped`` is off), so a caller can use it before the level is
@@ -297,50 +295,35 @@ def discover(
     n_attrs = len(relation.schema)
     if n_attrs == 0:
         raise ValueError("relation must have a non-empty schema")
-    acc = _Accumulator()
     everything = (1 << n_attrs) - 1
     whole = partition(relation, ())
     level = [
         LatticeNode((a,), 1 << a, refine(whole, relation, a, cfg.least), everything)
         for a in range(n_attrs)
     ]
-    acc.keys_found.extend(node.attrs for node in level if node.is_superkey)
-    node_size = 1
-    per_level: list[LevelStats] = []
-    parents: dict[int, LatticeNode] = {}
-    product_seconds = 0.0
-    while level:
-        if node_size >= 2:
-            started = time.perf_counter()
-            acc.candidates_tested = 0
-            acc.key_resolved = 0
-            acc.pruned = 0
-            emitted = compute_ofds(level, parents, relation, ontology, cfg, acc)
-            seconds = time.perf_counter() - started
-            report_seconds = 0.0
-            if on_ofd is not None:
-                started = time.perf_counter()
-                for ofd in emitted:
-                    on_ofd(ofd, parents[sum(1 << a for a in ofd.lhs)].part)
-                report_seconds = time.perf_counter() - started
-            per_level.append(
-                LevelStats(
-                    node_size - 1,
-                    len(level),
-                    acc.pruned,
-                    acc.candidates_tested,
-                    acc.key_resolved,
-                    len(emitted),
-                    seconds,
-                    product_seconds,
-                    report_seconds,
-                )
-            )
-        if cfg.max_level is not None and node_size > cfg.max_level:
-            break
+    result = DiscoveryResult([], [], [node.attrs for node in level if node.is_superkey])
+    # An antecedent has fewer attributes than the schema, so without a cap
+    # the level past the last one comes out empty.
+    for size in range(1, (cfg.max_level or n_attrs) + 1):
         parents = {node.mask: node for node in level}
         started = time.perf_counter()
         level = calculate_next_level(level, relation, cfg)
         product_seconds = time.perf_counter() - started
-        node_size += 1
-    return DiscoveryResult(acc.ofds, per_level, acc.keys_found)
+        if not level:
+            break
+        started = time.perf_counter()
+        emitted, tested, key_resolved, pruned = compute_ofds(
+            level, parents, relation, ontology, cfg, result
+        )
+        seconds = time.perf_counter() - started
+        report_seconds = 0.0
+        if on_ofd is not None:
+            started = time.perf_counter()
+            for ofd in emitted:
+                on_ofd(ofd, parents[sum(1 << a for a in ofd.lhs)].part)
+            report_seconds = time.perf_counter() - started
+        result.per_level.append(LevelStats(
+            size, len(level), pruned, tested, key_resolved, len(emitted),
+            seconds, product_seconds, report_seconds,
+        ))
+    return result

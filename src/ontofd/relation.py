@@ -173,16 +173,22 @@ def strip(part: Partition) -> Partition:
     return Partition(part.over, tuple(c for c in part.classes if len(c) >= 2))
 
 
-def _split(part: Partition, label: Sequence[int], over: AttrSet, least: int) -> Partition:
-    """Split every class of ``part`` by ``label[t]``.
+def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Partition:
+    """Partition over ``part.over`` plus attribute ``a`` with the classes of
+    at least ``least`` tuples: 2 strips it, 1 keeps the one-tuple classes.
 
-    ``least`` is 1 or 2, and groups of fewer tuples are dropped.  Classes are
-    walked in tuple order, so every group comes out sorted.  Classes of up
-    to three tuples, the most common ones deep in the lattice, need no
-    grouping: each stays whole when its labels are equal, and otherwise
-    keeps the one pair whose labels agree, if any, and falls apart into its
-    other tuples alone.  Only classes of four or more tuples are grouped.
+    Splits each class of ``part`` by the column's dictionary codes, so it
+    reads only the tuples ``part`` covers.  Classes are walked in tuple
+    order, so every group comes out sorted.  Classes of up to three tuples,
+    the most common ones deep in the lattice, need no grouping: each stays
+    whole when its codes are equal, and otherwise keeps the one pair whose
+    codes agree, if any, and falls apart into its other tuples alone.  Only
+    classes of four or more tuples are grouped.
     """
+    over = part.over
+    # The lattice and ``partition`` always add an attribute above ``over``.
+    over = over + (a,) if over and a > over[-1] else attr_set(over + (a,))
+    codes = relation.columns[a].codes
     out: list[tuple[int, ...]] = []
     append = out.append
     singles = least == 1
@@ -190,14 +196,14 @@ def _split(part: Partition, label: Sequence[int], over: AttrSet, least: int) -> 
         size = len(cls)
         if size == 2:
             x, y = cls
-            if label[x] == label[y]:
+            if codes[x] == codes[y]:
                 append(cls)
             elif singles:
                 append((x,))
                 append((y,))
         elif size == 3:
             x, y, z = cls
-            lx, ly, lz = label[x], label[y], label[z]
+            lx, ly, lz = codes[x], codes[y], codes[z]
             if lx == ly == lz:
                 append(cls)
             elif lx == ly:
@@ -222,22 +228,9 @@ def _split(part: Partition, label: Sequence[int], over: AttrSet, least: int) -> 
         else:
             groups: dict[int, list[int]] = {}
             for t in cls:
-                groups.setdefault(label[t], []).append(t)
+                groups.setdefault(codes[t], []).append(t)
             for group in groups.values():
                 if len(group) >= least:
                     append(tuple(group))
     out.sort(key=itemgetter(0))
     return Partition(over, tuple(out))
-
-
-def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Partition:
-    """Partition over ``part.over`` plus attribute ``a`` with the classes of
-    at least ``least`` tuples: 2 strips it, 1 keeps the one-tuple classes.
-
-    Splits each class of ``part`` by the column's dictionary codes, so it
-    reads only the tuples ``part`` covers.
-    """
-    over = part.over
-    # The lattice and ``partition`` always add an attribute above ``over``.
-    over = over + (a,) if over and a > over[-1] else attr_set(over + (a,))
-    return _split(part, relation.columns[a].codes, over, least)

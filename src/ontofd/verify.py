@@ -177,13 +177,15 @@ def agreement(
 
     A class whose distinct values share a sense keeps all of its tuples;
     any other class keeps its majority-sense tuples and loses the rest, so
-    a pair of tuples without a shared sense loses exactly one.  With
-    ``equal_fast_path`` a class of one distinct code is accepted without a
-    sense lookup.  Tuples outside ``classes`` always count.  Returns
-    ``n - lost``, or None as soon as ``(n - lost) / n`` drops below ``tau``:
-    with ``tau`` 1 that is the first class without a shared sense.  ``lost``
-    only grows and float division is monotone, so stopping early never
-    rejects a candidate whose full support reaches ``tau``.
+    a pair of tuples without a shared sense loses exactly one.  A pair is
+    decided by whether its two sense sets intersect; equal codes index the
+    same non-empty set, so that test answers them at once.  With
+    ``equal_fast_path`` any other class of one distinct code is accepted
+    without a sense lookup.  Tuples outside ``classes`` always count.
+    Returns ``n - lost``, or None as soon as ``(n - lost) / n`` drops below
+    ``tau``: with ``tau`` 1 that is the first class without a shared sense.
+    ``lost`` only grows and float division is monotone, so stopping early
+    never rejects a candidate whose full support reaches ``tau``.
     """
     codes = table.codes.__getitem__
     senses = table.senses.__getitem__
@@ -191,10 +193,7 @@ def agreement(
     lost = 0
     for cls in classes:
         if len(cls) == 2:
-            first, second = codes(cls[0]), codes(cls[1])
-            if equal_fast_path and first == second:
-                continue
-            if not senses(first).isdisjoint(senses(second)):
+            if not senses(codes(cls[0])).isdisjoint(senses(codes(cls[1]))):
                 continue
         else:
             distinct = set(map(codes, cls))
@@ -209,18 +208,6 @@ def agreement(
         if (n - lost) / n < tau:
             return None
     return n - lost
-
-
-def _verify(table: SenseTable, part: Partition) -> VerifyOutcome:
-    codes = table.codes.__getitem__
-    failing = [cls for cls in part.classes if agreement(table, (cls,), 1.0, True) is None]
-    witnesses = tuple(
-        ViolatingClass(cls[0], tuple(table.values[c] for c in dict.fromkeys(map(codes, cls))))
-        for cls in failing
-    )
-    n = len(table.codes)
-    support = 1.0 if n == 0 else (n - sum(map(len, failing))) / n
-    return VerifyOutcome(not witnesses, support, witnesses)
 
 
 def class_splits(
@@ -264,17 +251,6 @@ def class_splits(
             )
 
 
-def _support(table: SenseTable, part: Partition) -> SupportOutcome:
-    n = len(table.codes)
-    satisfied = n - part.covered_count
-    majorities: list[ClassMajority] = []
-    for cls, sense, members, others in class_splits(table, part.classes):
-        satisfied += len(members)
-        majorities.append(ClassMajority(cls[0], table.names[sense], members, others))
-    support = 1.0 if n == 0 else satisfied / n
-    return SupportOutcome(support, satisfied, tuple(majorities))
-
-
 def verify(
     relation: Relation,
     ontology: Ontology,
@@ -284,7 +260,16 @@ def verify(
 ) -> VerifyOutcome:
     """Exact check of ``part -> a``, with every violating class as a witness."""
     check_attr(relation, part, a)
-    return _verify(sense_table(relation, ontology, a, kind), part)
+    table = sense_table(relation, ontology, a, kind)
+    codes = table.codes.__getitem__
+    failing = [cls for cls in part.classes if agreement(table, (cls,), 1.0, True) is None]
+    witnesses = tuple(
+        ViolatingClass(cls[0], tuple(table.values[c] for c in dict.fromkeys(map(codes, cls))))
+        for cls in failing
+    )
+    n = relation.n
+    support = 1.0 if n == 0 else (n - sum(map(len, failing))) / n
+    return VerifyOutcome(not witnesses, support, witnesses)
 
 
 def support(
@@ -296,7 +281,15 @@ def support(
 ) -> SupportOutcome:
     """Support of ``part -> a`` with the majority split of every class."""
     check_attr(relation, part, a)
-    return _support(sense_table(relation, ontology, a, kind), part)
+    table = sense_table(relation, ontology, a, kind)
+    n = relation.n
+    satisfied = n - part.covered_count
+    majorities: list[ClassMajority] = []
+    for cls, sense, members, others in class_splits(table, part.classes):
+        satisfied += len(members)
+        majorities.append(ClassMajority(cls[0], table.names[sense], members, others))
+    support = 1.0 if n == 0 else satisfied / n
+    return SupportOutcome(support, satisfied, tuple(majorities))
 
 
 def verify_synonym(

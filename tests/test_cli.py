@@ -301,16 +301,19 @@ def test_violations_file_is_open_before_the_second_kind_is_discovered(tmp_path, 
 def test_report_makes_no_partition_of_its_own(tmp_path, monkeypatch):
     # the report reuses discovery's antecedent partitions, so it splits no
     # class that discovery did not
+    import ontofd.lattice
     import ontofd.relation
 
     calls = Counter()
-    real = ontofd.relation._split
+    real = ontofd.relation.refine
 
     def counted(*args):
         calls["split"] += 1
         return real(*args)
 
-    monkeypatch.setattr(ontofd.relation, "_split", counted)
+    # the lattice imports ``refine`` by name, so both bindings are counted
+    monkeypatch.setattr(ontofd.lattice, "refine", counted)
+    monkeypatch.setattr(ontofd.relation, "refine", counted)
     args = ["--mode", "both", "--theta", "2", "--tau", "0.8", "--inject-errors", "0.1"]
     splits = []
     for extra in ([], ["--report-violations"]):

@@ -329,7 +329,7 @@ def test_empty_table_discovers_vacuous_level_one():
 
 
 def test_compute_ofds_mechanics(clinical, clinical_ontology):
-    from ontofd.lattice import _Accumulator, compute_ofds
+    from ontofd.lattice import DiscoveryResult, compute_ofds
 
     cfg = DiscoveryConfig(kind=Synonym())
     n_attrs = len(clinical.schema)
@@ -338,10 +338,13 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
         for a in range(n_attrs)
     }
     level2 = calculate_next_level(list(singles.values()), clinical, cfg)
-    acc = _Accumulator()
-    emitted = compute_ofds(level2, singles, clinical, clinical_ontology, cfg, acc)
+    result = DiscoveryResult([], [], [])
+    emitted, tested, key_resolved, _ = compute_ofds(
+        level2, singles, clinical, clinical_ontology, cfg, result
+    )
     # the keys {id} and {MED} each decide their five candidates unverified
-    assert (acc.candidates_tested, acc.key_resolved) == (30, 10)
+    assert (tested, key_resolved) == (30, 10)
+    assert result.ofds == emitted
     pairs = {(o.lhs, o.rhs) for o in emitted}
     assert ((CC,), CTRY) in pairs and ((CTRY,), CC) in pairs
     node_cc_ctry = next(n for n in level2 if n.attrs == (CC, CTRY))
@@ -351,11 +354,11 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
     # downstream: {CC, SYMP} -> CTRY is not minimal and never gets tested
     parents2 = {n.mask: n for n in level2}
     level3 = calculate_next_level(level2, clinical, cfg)
-    found_before = len(acc.ofds)
-    emitted3 = compute_ofds(level3, parents2, clinical, clinical_ontology, cfg, acc)
+    found_before = len(result.ofds)
+    emitted3 = compute_ofds(level3, parents2, clinical, clinical_ontology, cfg, result)[0]
     node3 = next(n for n in level3 if n.attrs == (CC, CTRY, SYMP))
     assert not node3.candidates >> CTRY & 1
-    assert acc.ofds[found_before:] == emitted3 and emitted3
+    assert result.ofds[found_before:] == emitted3 and emitted3
     assert not any(o.rhs == CTRY for o in emitted3 if CC in o.lhs)
 
 
