@@ -257,10 +257,10 @@ def test_criterion_8_scaling_trend():
     # ``rows`` is decoded on every read, so each table is decoded once here.
     rows = {n_rows: table.rows for n_rows, table in tables.items()}
     times = dict.fromkeys(tables, float("inf"))
-    # Best of three per size, as in criterion 7, with the sizes alternating
+    # Best of five per size, as in criterion 7, with the sizes alternating
     # so that a slow phase of the host slows both; each sample gets a fresh
     # Relation, which encodes its columns again.
-    for _ in range(3):
+    for _ in range(5):
         for n_rows, table in tables.items():
             relation = Relation(table.schema, rows[n_rows])
             t0 = time.perf_counter()
