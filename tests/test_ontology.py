@@ -93,9 +93,6 @@ def test_load_errors_are_distinct():
     ):
         with pytest.raises(OntologyError, match=f"{what} must .*string"):
             make([entry, {"id": "5", "synonyms": ["z"]}])
-
-
-def test_repeated_keys_are_rejected():
     # the JSON parser would keep only the last of a repeated key, dropping
     # the synonyms ["a"] or every class of the first "classes" list
     for text, key in (
