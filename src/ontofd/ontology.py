@@ -184,11 +184,11 @@ class Ontology:
 def _without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's dict; a repeated key, which ``json`` would resolve to
     its last value, raises ``OntologyError``."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen: set[str] = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise OntologyError(f"ontology JSON has a repeated key {key!r} in one object")
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise OntologyError(f"ontology JSON has a repeated key {key!r} in one object")
+        obj[key] = value
     return obj
 
 
