@@ -182,8 +182,10 @@ def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Parti
     order, so every group comes out sorted.  Classes of up to three tuples,
     the most common ones deep in the lattice, need no grouping: each stays
     whole when its codes are equal, and otherwise keeps the one pair whose
-    codes agree, if any, and falls apart into its other tuples alone.  Only
-    classes of four or more tuples are grouped.
+    codes agree, if any.  Only classes of four or more tuples are grouped.
+    Every split keeps only classes of two or more tuples; with ``least``
+    1, each tuple of ``part`` that no kept class took is then added as a
+    class of its own, in one step.
     """
     over = part.over
     # The lattice and ``partition`` always add an attribute above ``over``.
@@ -191,16 +193,12 @@ def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Parti
     codes = relation.columns[a].codes
     out: list[tuple[int, ...]] = []
     append = out.append
-    singles = least == 1
     for cls in part.classes:
         size = len(cls)
         if size == 2:
             x, y = cls
             if codes[x] == codes[y]:
                 append(cls)
-            elif singles:
-                append((x,))
-                append((y,))
         elif size == 3:
             x, y, z = cls
             lx, ly, lz = codes[x], codes[y], codes[z]
@@ -208,29 +206,19 @@ def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Parti
                 append(cls)
             elif lx == ly:
                 append((x, y))
-                if singles:
-                    append((z,))
             elif lx == lz:
                 append((x, z))
-                if singles:
-                    append((y,))
             elif ly == lz:
                 append((y, z))
-                if singles:
-                    append((x,))
-            elif singles:
-                append((x,))
-                append((y,))
-                append((z,))
-        elif size == 1:
-            if singles:
-                append(cls)
-        else:
+        elif size > 3:
             groups: dict[int, list[int]] = {}
             for t in cls:
                 groups.setdefault(codes[t], []).append(t)
             for group in groups.values():
-                if len(group) >= least:
+                if len(group) > 1:
                     append(tuple(group))
+    if least == 1:
+        kept = {t for cls in out for t in cls}
+        out.extend((t,) for cls in part.classes for t in cls if t not in kept)
     out.sort(key=itemgetter(0))
     return Partition(over, tuple(out))
