@@ -593,8 +593,12 @@ def test_invalid_utf8_exits_2_with_one_line(tmp_path, capsys, target):
     ("input", b'A,B\n1,"x\n2,3\n'),
     ("input", b'A,B\n"1" ,2\n'),
     ("ontology", b'{"classes": [{"id": "x", "synonyms": ["a"], "synonyms": ["b"]}]}'),
+    ("ontology", b'{"clases": [{"id": "x", "synonyms": ["a"]}]}'),
+    ("ontology", b'{"classes": [{"id": "x", "synonyms": ["a"], "parent": ["y"]},'
+                 b' {"id": "y", "synonyms": ["b"]}]}'),
 ], ids=["blank-header", "oversized-field", "deep-json", "non-string-id", "bom-blank-header",
-        "huge-int", "open-quote", "text-after-quote", "repeated-key"])
+        "huge-int", "open-quote", "text-after-quote", "repeated-key", "unknown-key",
+        "unknown-class-key"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, target, content):
     bad = tmp_path / "bad"
     bad.write_bytes(content)

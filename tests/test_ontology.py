@@ -101,6 +101,18 @@ def test_load_errors_are_distinct():
     ):
         with pytest.raises(OntologyError, match=f"repeated key '{key}'"):
             load_ontology(io.StringIO(text))
+    # a misspelt key would otherwise be ignored, loading no classes or a
+    # class with no is-a links
+    for text, key in (
+        ('{"clases": [{"id": "x", "synonyms": ["a"]}]}', "clases"),
+        ('{"classes": [{"id": "x", "synonyms": ["a"], "parent": ["y"]},'
+         ' {"id": "y", "synonyms": ["b"]}]}', "parent"),
+    ):
+        with pytest.raises(OntologyError, match=f"unknown key '{key}'"):
+            load_ontology(io.StringIO(text))
+    # the parser rejects an integer over the digit limit before any key is read
+    with pytest.raises(OntologyError, match="not valid JSON"):
+        load_ontology(io.StringIO('{"classes": [], "x": ' + "1" * 5000 + "}"))
 
 
 def test_deeply_nested_document_is_rejected():
