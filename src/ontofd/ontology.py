@@ -197,7 +197,8 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
 
     Expected shape: ``{"classes": [{"id": ..., "synonyms": [...],
     "parents": [...]}, ...]}`` with ``parents`` optional; ``id`` must be a
-    string, and ``synonyms`` and ``parents`` lists of strings.  Synonym
+    string, and ``synonyms`` and ``parents`` lists of strings.  Any other
+    key, in the document or in a class, raises ``OntologyError``.  Synonym
     strings are trimmed of surrounding whitespace and may not be empty after
     trimming; cell values are never trimmed.  Bytes that are not UTF-8, and
     JSON that is malformed, repeats a key within one object, is nested
@@ -218,6 +219,9 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
         raise OntologyError(f"ontology is not valid JSON: {exc}") from None
     if not isinstance(document, dict) or not isinstance(document.get("classes", []), list):
         raise OntologyError("ontology document must be an object with a 'classes' list")
+    for key in document:
+        if key != "classes":
+            raise OntologyError(f"ontology document has an unknown key {key!r}")
     classes = []
     for entry in document.get("classes", []):
         if not isinstance(entry, dict) or "id" not in entry:
@@ -225,6 +229,9 @@ def load_ontology(source: str | Path | IO[str], *, case_insensitive: bool = Fals
         class_id = entry["id"]
         if not isinstance(class_id, str):
             raise OntologyError(f"class id must be a string, not {class_id!r}")
+        for key in entry:
+            if key not in ("id", "synonyms", "parents"):
+                raise OntologyError(f"class {class_id!r} has an unknown key {key!r}")
         for key in ("synonyms", "parents"):
             values = entry.get(key, [])
             if not isinstance(values, list):
