@@ -12,6 +12,7 @@ import json
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
@@ -76,7 +77,10 @@ class Ontology:
                     raise OntologyError(
                         f"class {cls.id!r} references unknown parent {parent!r}"
                     )
-        self._check_acyclic()
+        try:
+            TopologicalSorter({cls.id: cls.parents for cls in self._classes.values()}).prepare()
+        except CycleError as exc:
+            raise OntologyError(f"cycle in is-a edges involving {exc.args[1][0]!r}") from None
         index: dict[str, set[ClassId]] = {}
         for cls in self._classes.values():
             for synonym in cls.synonyms:
@@ -84,34 +88,6 @@ class Ontology:
         self._value_index = {value: frozenset(ids) for value, ids in index.items()}
         self._closure_cache: dict[ClassId, dict[ClassId, int]] = {}
         self._theta_cache: dict[tuple[str, int], frozenset[ClassId]] = {}
-
-    def _check_acyclic(self) -> None:
-        # Iterative three-color DFS over parent edges.
-        state: dict[ClassId, int] = {}  # 1 = on stack, 2 = done
-        for root in self._classes:
-            if state.get(root):
-                continue
-            stack: list[tuple[ClassId, Iterable[ClassId]]] = [
-                (root, iter(self._classes[root].parents))
-            ]
-            state[root] = 1
-            while stack:
-                node, parents = stack[-1]
-                advanced = False
-                for parent in parents:
-                    mark = state.get(parent)
-                    if mark == 1:
-                        raise OntologyError(
-                            f"cycle in is-a edges involving {parent!r}"
-                        )
-                    if mark is None:
-                        state[parent] = 1
-                        stack.append((parent, iter(self._classes[parent].parents)))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
 
     def normalize(self, value: str) -> str:
         return value.casefold() if self.case_insensitive else value

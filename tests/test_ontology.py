@@ -61,11 +61,18 @@ def test_load_errors_are_distinct():
         make([{"id": "A", "synonyms": []}])
     with pytest.raises(OntologyError, match="unknown parent"):
         make([{"id": "A", "synonyms": ["x"], "parents": ["missing"]}])
-    with pytest.raises(OntologyError, match="cycle"):
-        make([
-            {"id": "A", "synonyms": ["x"], "parents": ["B"]},
-            {"id": "B", "synonyms": ["y"], "parents": ["A"]},
-        ])
+    # a long is-a chain loads, and closed into a loop it is rejected
+    chain = [{"id": str(i), "synonyms": ["x"], "parents": [str(i + 1)]} for i in range(20_000)]
+    chain[-1]["parents"] = []
+    assert len(make(chain)) == 20_000
+    chain[-1]["parents"] = ["0"]
+    for cycle in (
+        [{"id": "A", "synonyms": ["x"], "parents": ["B"]},
+         {"id": "B", "synonyms": ["y"], "parents": ["A"]}],
+        chain,
+    ):
+        with pytest.raises(OntologyError, match="cycle"):
+            make(cycle)
     with pytest.raises(OntologyError, match="itself"):
         make([{"id": "A", "synonyms": ["x"], "parents": ["A"]}])
     # a string would otherwise be split into one synonym or parent per char
