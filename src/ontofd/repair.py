@@ -58,28 +58,6 @@ class ViolationReport:
     entries: tuple[OfdViolationEntry, ...]
 
 
-class _Omitting:
-    """``values`` without the entries at the sorted positions ``gaps``.
-
-    ``random.choice`` draws from it exactly as from the equivalent list,
-    which is never built.
-    """
-
-    def __init__(self, values: Sequence[str], gaps: Sequence[int]):
-        self.values = values
-        self.gaps = gaps
-
-    def __len__(self) -> int:
-        return len(self.values) - len(self.gaps)
-
-    def __getitem__(self, index: int) -> str:
-        for gap in self.gaps:
-            if gap > index:
-                break
-            index += 1
-        return self.values[index]
-
-
 class _SharedSenses:
     """Which of a column's sorted distinct values share a sense, with each
     value's senses looked up once."""
@@ -139,17 +117,21 @@ def inject_errors(
         at = position[col][old]
         # Draw from the values that share no sense with ``old``, else from
         # any value but ``old``, else ``old`` itself, which then fills the
-        # other rows too.
-        pool: Sequence[str] = vals
-        if len(vals) > 1:
-            pool = _Omitting(vals, [at])
+        # other rows too.  ``gaps`` holds the sorted positions left out of
+        # the draw, and the drawn index steps past each gap not above it.
+        gaps = [at] if len(vals) > 1 else []
         if ontology is not None:
             if col not in sharing:
                 sharing[col] = _SharedSenses(ontology, vals)
-            breaking = _Omitting(vals, sharing[col].positions(at))
-            if len(breaking):
-                pool = breaking
-        new = rng.choice(pool)
+            breaking = sharing[col].positions(at)
+            if len(breaking) < len(vals):
+                gaps = breaking
+        index = rng.choice(range(len(vals) - len(gaps)))
+        for gap in gaps:
+            if gap > index:
+                break
+            index += 1
+        new = vals[index]
         table[col][row] = new
         log.append(CellChange(row, col, old, new))
     return Relation(relation.schema, zip(*table)), log
