@@ -218,7 +218,11 @@ def refine(part: Partition, relation: Relation, a: int, least: int = 2) -> Parti
                 if len(group) > 1:
                     append(tuple(group))
     if least == 1:
+        # A one-tuple class of ``part`` is added as it is, so the partitions
+        # refined from ``part`` share it rather than each holding a copy.
         kept = {t for cls in out for t in cls}
-        out.extend((t,) for cls in part.classes for t in cls if t not in kept)
+        out.extend(
+            cls if len(cls) == 1 else (t,) for cls in part.classes for t in cls if t not in kept
+        )
     out.sort(key=itemgetter(0))
     return Partition(over, tuple(out))
