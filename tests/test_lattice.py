@@ -1,7 +1,9 @@
 """Level-wise discovery: completeness, minimality, pruning soundness."""
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -9,13 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from ontofd.lattice import (
     DiscoveryConfig,
+    DiscoveryResult,
     LatticeNode,
     apply_optimizations,
     calculate_next_level,
+    compute_ofds,
     discover,
 )
 from ontofd.ontology import Ontology, OntologyClass
-from ontofd.relation import attr_set, partition, relation_from_rows, strip
+from ontofd.relation import attr_set, partition, refine, relation_from_rows, strip
 from ontofd.verify import Inheritance, Synonym
 
 from conftest import CC, CTRY, DIAG, ID, MED, SYMP
@@ -185,6 +189,38 @@ def test_superkey_plan_skips_verification(clinical, clinical_ontology):
     )
     assert not unresolved
     assert still_keys == key_parents
+
+
+def test_join_builds_candidates_and_key_parents_from_final_subsets():
+    # Levels are built and tested as discover does.  Each joined node's C+
+    # must be the AND of its subsets' candidate sets as compute_ofds left
+    # them, and key_parents must hold each attribute whose subset without it
+    # is a superkey; both are found here by scanning the previous level.
+    for seed, stripped_flag in itertools.product(range(30), (True, False)):
+        relation, ontology = random_instance(seed + 7000, max_attrs=7, max_rows=14)
+        kind = Synonym() if seed % 2 == 0 else Inheritance(seed % 3)
+        tau = 1.0 if seed % 4 < 2 else 0.8
+        cfg = DiscoveryConfig(kind=kind, tau=tau, stripped=stripped_flag)
+        everything = mask_of(range(len(relation.schema)))
+        whole = partition(relation, ())
+        level = [
+            LatticeNode((a,), 1 << a, refine(whole, relation, a, cfg.least), everything)
+            for a in range(len(relation.schema))
+        ]
+        result = DiscoveryResult([], [], [])
+        while level:
+            parents = {node.mask: node for node in level}
+            previous = level
+            level = calculate_next_level(previous, relation, cfg)
+            for node in level:
+                subsets = [p for p in previous if p.mask & node.mask == p.mask]
+                assert len(subsets) == len(node.attrs) and not any(p.dead for p in subsets)
+                candidates = functools.reduce(operator.and_, (p.candidates for p in subsets))
+                key_parents = sum(node.mask ^ p.mask for p in subsets if p.is_superkey)
+                assert (node.candidates, node.key_parents) == (candidates, key_parents), (
+                    seed, stripped_flag, node.attrs,
+                )
+            compute_ofds(level, parents, relation, ontology, cfg, result)
 
 
 def test_discovery_equals_oracle_on_random_instances():
