@@ -24,8 +24,9 @@ With both candidate-set pruning and superkey shortcutting on, a node that is
 a superkey, has a superkey parent, and keeps none of its own attributes in
 ``C+`` is dead: no superset yields a minimal dependency or a minimal key, so
 a node is generated only when every one of its subsets one level down is
-alive, tested as membership of their masks in the set of live masks (see
-``compute_ofds`` and ``calculate_next_level``).
+alive, looked up among the live nodes by mask in the one walk that also
+builds its ``C+`` and superkey parents (see ``compute_ofds`` and
+``calculate_next_level``).
 
 Reported levels count antecedent attributes: level 1 covers single-attribute
 antecedents, and ``max_level`` caps the antecedent size.
@@ -82,7 +83,8 @@ class LevelStats:
     ``key_resolved`` counts the candidates the superkey shortcut decided
     without a call to the kernel.  ``seconds`` is the time spent testing the
     level's candidates and ``product_seconds`` the time
-    ``calculate_next_level`` spent building its nodes and their partitions.
+    ``calculate_next_level`` spent building its nodes: their partitions,
+    ``C+`` sets and superkey-parent masks.
     ``report_seconds`` is the time ``discover``'s ``on_ofd`` hook took over
     the level's dependencies, 0.0 without a hook.
     """
@@ -102,17 +104,22 @@ class LatticeNode:
     """One attribute set with its partition and surviving rhs candidates.
 
     ``attrs`` is the sorted attribute tuple and ``mask`` the same set as a
-    bitmask; ``candidates`` is ``C+`` as a bitmask.  ``is_superkey`` is read
-    from the partition once, when the node is built.
+    bitmask; ``candidates`` is ``C+`` as a bitmask, and ``key_parents`` holds
+    each attribute ``a`` of the node whose parent without ``a`` is a
+    superkey.  ``calculate_next_level`` builds both masks; ``compute_ofds``
+    then clears from ``candidates`` each consequent found to hold.
+    ``is_superkey`` is read from the partition once, when the node is built.
     """
 
-    __slots__ = ("attrs", "mask", "part", "candidates", "is_superkey", "dead")
+    __slots__ = ("attrs", "mask", "part", "candidates", "key_parents", "is_superkey", "dead")
 
-    def __init__(self, attrs: AttrSet, mask: int, part: Partition, candidates: int = 0):
+    def __init__(self, attrs: AttrSet, mask: int, part: Partition,
+                 candidates: int = 0, key_parents: int = 0):
         self.attrs = attrs
         self.mask = mask
         self.part = part
         self.candidates = candidates
+        self.key_parents = key_parents
         self.is_superkey = part.is_superkey
         self.dead = False
 
@@ -132,67 +139,44 @@ def calculate_next_level(
 
     ``current`` must be in ``attrs`` order, and then so is the result: the
     prefix blocks come in prefix order and each block in order of its last
-    attribute, so every join extends its left node in order.  A joined
-    node's partition refines the left node's partition by the right node's
-    last attribute; a superkey's partition already is the identity, so its
+    attribute, so every join extends its left node in order.  ``current``'s
+    candidate sets must be final (``compute_ofds`` is done with them): a
+    join's ``C+`` is the AND of its subsets' sets.  A joined node's
+    partition refines the left node's partition by the right node's last
+    attribute; a superkey's partition already is the identity, so its
     children take it over unchanged.
     """
-    live: set[int] = set()
+    live: dict[int, LatticeNode] = {}
     blocks: dict[int, list[LatticeNode]] = {}
     for node in current:
         if not node.dead:
-            live.add(node.mask)
+            live[node.mask] = node
             blocks.setdefault(node.mask ^ (1 << node.attrs[-1]), []).append(node)
     next_nodes: list[LatticeNode] = []
     for block in blocks.values():
         for i in range(len(block) - 1):
             left = block[i]
-            # The two joined nodes are the subsets without one of the last
-            # two attributes; the others drop one prefix attribute instead.
-            drops = [left.mask ^ (1 << b) for b in left.attrs[:-1]]
             for right in block[i + 1:]:
                 last = right.attrs[-1]
-                bit = 1 << last
-                if any((drop | bit) not in live for drop in drops):
-                    continue
                 attrs = left.attrs + (last,)
-                if left.is_superkey:
-                    part = Partition(attrs, left.part.classes)
-                else:
-                    part = refine(left.part, relation, last, cfg.least)
-                next_nodes.append(LatticeNode(attrs, left.mask | bit, part))
+                mask = left.mask | (1 << last)
+                candidates = -1
+                key_parents = 0
+                for a in attrs:
+                    bit = 1 << a
+                    subset = live.get(mask ^ bit)
+                    if subset is None:
+                        break
+                    candidates &= subset.candidates
+                    if subset.is_superkey:
+                        key_parents |= bit
+                else:  # every subset is live
+                    if left.is_superkey:
+                        part = Partition(attrs, left.part.classes)
+                    else:
+                        part = refine(left.part, relation, last, cfg.least)
+                    next_nodes.append(LatticeNode(attrs, mask, part, candidates, key_parents))
     return next_nodes
-
-
-def apply_optimizations(
-    node: LatticeNode,
-    parents: Mapping[int, LatticeNode],
-    cfg: DiscoveryConfig,
-) -> tuple[int, int, int]:
-    """Masks ``(examine, key_resolved, key_parents)`` for one node.
-
-    ``key_parents`` holds each attribute ``a`` of the node whose antecedent,
-    the parent without ``a``, is a superkey.  The node's ``C+`` becomes the
-    intersection of its parents' candidate sets; with candidate-set pruning
-    only candidates left in it are examined, without it every candidate is
-    tested and ``C+`` still decides minimality.  Trivial candidates never
-    exist (the rhs is always drawn from the node itself, so the antecedent
-    excludes it by construction).  With superkey shortcutting an examined
-    candidate in ``key_parents`` is resolved without verification; the
-    remaining ones go through the verifier.
-    """
-    mask = node.mask
-    candidates = -1
-    key_parents = 0
-    for a in node.attrs:
-        bit = 1 << a
-        parent = parents[mask ^ bit]
-        candidates &= parent.candidates
-        if parent.is_superkey:
-            key_parents |= bit
-    node.candidates = candidates
-    examine = candidates & mask if cfg.opt2 else mask
-    return examine, examine & key_parents if cfg.opt3 else 0, key_parents
 
 
 def compute_ofds(
@@ -211,9 +195,12 @@ def compute_ofds(
     dependencies in output order, the candidates tested, those of them the
     superkey shortcut decided, and the nodes found dead.
 
-    Being a superkey carries over to supersets, so a superkey node is a
-    minimal key exactly when none of its parents is a superkey; every parent
-    is in ``parents`` because a node is only generated from live subsets.
+    Only candidates left in ``C+`` are examined (all of them without
+    ``opt2``; ``C+`` still decides minimality), and with ``opt3`` those in
+    ``key_parents`` are resolved without verification.  Being a superkey
+    carries over to supersets, so a superkey node is a minimal key exactly
+    when its ``key_parents`` is empty; every parent is in ``parents``
+    because a node is only generated from live subsets.
 
     With ``opt2`` and ``opt3`` on, a non-minimal superkey ``X`` (some parent
     ``X \\ B`` is a superkey) whose ``C+`` holds none of ``X`` is dead.  For
@@ -231,9 +218,10 @@ def compute_ofds(
     emitted: list[Ofd] = []
     tested = resolved = pruned = 0
     for node in level:
-        examine, key_resolved, key_parents = apply_optimizations(node, parents, cfg)
         attrs = node.attrs
         mask = node.mask
+        examine = node.candidates & mask if cfg.opt2 else mask
+        key_resolved = examine & node.key_parents if cfg.opt3 else 0
         for i, a in enumerate(attrs):
             bit = 1 << a
             if not examine & bit:
@@ -253,7 +241,7 @@ def compute_ofds(
             emitted.append(Ofd(attrs[:i] + attrs[i + 1:], a, cfg.kind, sup))
             node.candidates &= ~bit
         if node.is_superkey:
-            if not key_parents:
+            if not node.key_parents:
                 result.keys_found.append(attrs)
             elif prune and not node.candidates & mask:
                 node.dead = True

@@ -13,7 +13,6 @@ from ontofd.lattice import (
     DiscoveryConfig,
     DiscoveryResult,
     LatticeNode,
-    apply_optimizations,
     calculate_next_level,
     compute_ofds,
     discover,
@@ -170,25 +169,24 @@ def test_minimal_key_with_no_own_candidates_stays_alive():
 
 
 def test_superkey_plan_skips_verification(clinical, clinical_ontology):
-    cfg = DiscoveryConfig(kind=Synonym())
-    everything = mask_of(range(6))
     # node {id, CC}: the antecedent {id} is a key, so candidate CC is
     # resolved without touching the ontology
-    parents = {
-        mask_of(x): LatticeNode(x, mask_of(x), strip(partition(clinical, x)), everything)
-        for x in ((ID,), (CC,))
-    }
-    node = LatticeNode((ID, CC), mask_of((ID, CC)), strip(partition(clinical, (ID, CC))), everything)
-    examine, key_resolved, key_parents = apply_optimizations(node, parents, cfg)
-    assert examine == mask_of((ID, CC))
-    assert key_resolved >> CC & 1       # lhs {id} is a superkey
-    assert not key_resolved >> ID & 1   # lhs {CC} is not
-    assert key_parents == 1 << CC
-    _, unresolved, still_keys = apply_optimizations(
-        node, parents, DiscoveryConfig(kind=Synonym(), opt3=False)
-    )
-    assert not unresolved
-    assert still_keys == key_parents
+    everything = mask_of(range(6))
+    for opt3 in (True, False):
+        cfg = DiscoveryConfig(kind=Synonym(), opt3=opt3)
+        parents = {
+            1 << a: LatticeNode((a,), 1 << a, strip(partition(clinical, (a,))), everything)
+            for a in (ID, CC)
+        }
+        (node,) = calculate_next_level(list(parents.values()), clinical, cfg)
+        assert node.attrs == (ID, CC)
+        assert node.key_parents == 1 << CC  # lhs {id} is a superkey, {CC} is not
+        _, tested, key_resolved, _ = compute_ofds(
+            [node], parents, clinical, clinical_ontology, cfg, DiscoveryResult([], [], [])
+        )
+        assert tested == 2                  # both candidates are examined
+        assert key_resolved == (1 if opt3 else 0)
+        assert node.key_parents == 1 << CC
 
 
 def test_join_builds_candidates_and_key_parents_from_final_subsets():
@@ -365,8 +363,6 @@ def test_empty_table_discovers_vacuous_level_one():
 
 
 def test_compute_ofds_mechanics(clinical, clinical_ontology):
-    from ontofd.lattice import DiscoveryResult, compute_ofds
-
     cfg = DiscoveryConfig(kind=Synonym())
     n_attrs = len(clinical.schema)
     singles = {
