@@ -139,6 +139,47 @@ def test_inject_errors_without_output_is_a_config_error(capsys):
         RunConfig(input_path="x", ontology_path="y", inject_rate=0.1)
 
 
+def test_colliding_written_files_are_a_config_error(tmp_path, capsys):
+    # a later write would replace an earlier one (the stats rows in place of
+    # the dependencies) or an input file, while the run exits 0
+    csv = tmp_path / "in.csv"
+    onto = tmp_path / "onto.json"
+    csv.write_bytes(Path(CLINICAL).read_bytes())
+    onto.write_bytes(Path(ONTOLOGY).read_bytes())
+    out = tmp_path / "out.json"
+    (tmp_path / "sub").mkdir()
+    collisions = [
+        ["--output", out, "--stats", out],
+        ["--output", out, "--stats", tmp_path / "sub" / ".." / "out.json"],
+        ["--output", out, "--report-violations", "--stats", f"{out}.violations.json"],
+        ["--output", out, "--inject-errors", "0.1", "--stats", f"{out}.inject-log.json"],
+        ["--output", f"{out}.violations", "--report-violations", "--inject-errors", "0.1",
+         "--stats", f"{out}.violations.inject-log.json"],
+        ["--output", csv],
+        ["--output", onto],
+        ["--stats", csv],
+        ["--output", tmp_path / "in", "--inject-errors", "0.1", "--report-violations",
+         "--stats", tmp_path / "in.csv"],
+    ]
+    before = csv.read_bytes(), onto.read_bytes()
+    for extra in collisions:
+        argv = ["--input", str(csv), "--ontology", str(onto), *map(str, extra)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", extra
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, extra
+        assert (csv.read_bytes(), onto.read_bytes()) == before, extra
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "onto.json", "sub"]
+        with pytest.raises(CliConfigError):
+            RunConfig(**vars(build_parser().parse_args(argv)))
+    # names that only look alike are distinct files
+    stats = tmp_path / "out.json.violations.json"
+    assert main([
+        "--input", str(csv), "--ontology", str(onto), "--output", str(out), "--stats", str(stats),
+    ]) == 0
+    assert isinstance(json.loads(out.read_text()), list) and stats.exists()
+
+
 NO_FLAGS = {"--no-opt2": "opt2", "--no-opt3": "opt3", "--no-opt4": "opt4", "--no-strip": "stripped"}
 
 
