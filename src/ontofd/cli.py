@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -69,6 +70,16 @@ class RunConfig:
             raise CliConfigError("--report-violations requires --output")
         if self.inject_rate is not None and self.output_path is None:
             raise CliConfigError("--inject-errors requires --output")
+        written = [self.output_path, self.stats_path]
+        if self.report_violations:
+            written.append(f"{self.output_path}.violations.json")
+        if self.inject_rate is not None:
+            written.append(f"{self.output_path}.inject-log.json")
+        paths = [os.path.realpath(p) for p in written if p is not None]
+        if len(set(paths)) < len(paths):
+            raise CliConfigError("two files this run writes are the same path")
+        if {os.path.realpath(self.input_path), os.path.realpath(self.ontology_path)} & set(paths):
+            raise CliConfigError("a file this run writes is --input or --ontology")
 
 
 def ofd_to_record(ofd: Ofd, schema: Sequence[str]) -> dict:
