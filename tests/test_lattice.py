@@ -90,11 +90,12 @@ def mask_of(attrs):
 
 
 def make_nodes(relation, cfg, attr_sets):
+    """Live map of fresh nodes, by mask in the given order."""
     build = strip if cfg.stripped else lambda part: part
-    return [
-        LatticeNode(attr_set(x), mask_of(x), build(partition(relation, attr_set(x))))
+    return {
+        mask_of(x): LatticeNode(attr_set(x), mask_of(x), build(partition(relation, attr_set(x))))
         for x in attr_sets
-    ]
+    }
 
 
 def test_calculate_next_level_joins_prefix_blocks():
@@ -105,13 +106,13 @@ def test_calculate_next_level_joins_prefix_blocks():
     singles = make_nodes(relation, cfg, [(0,), (1,), (2,)])
     level2 = calculate_next_level(singles, relation, cfg)
     assert [n.attrs for n in level2] == [(0, 1), (0, 2), (1, 2)]
-    level3 = calculate_next_level(level2, relation, cfg)
+    level3 = calculate_next_level({n.mask: n for n in level2}, relation, cfg)
     assert [n.attrs for n in level3] == [(0, 1, 2)]
     disjoint = make_nodes(relation, cfg, [(0, 1), (2, 3)])
     assert calculate_next_level(disjoint, relation, cfg) == []
-    # a dead node is joined with nothing, and no node above it is built
-    pairs = make_nodes(relation, cfg, itertools.combinations(range(4), 2))
-    next(n for n in pairs if n.attrs == (1, 2)).dead = True
+    # a dead node is left out of the map: it is joined with nothing, and no
+    # node above it is built
+    pairs = make_nodes(relation, cfg, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
     assert [n.attrs for n in calculate_next_level(pairs, relation, cfg)] == [(0, 1, 3), (0, 2, 3)]
 
 
@@ -121,7 +122,7 @@ def test_next_level_partitions_are_products(clinical):
         cfg = DiscoveryConfig(kind=Synonym(), stripped=stripped_flag)
         singles = make_nodes(clinical, cfg, [(a,) for a in range(6)])
         for node in calculate_next_level(singles, clinical, cfg):
-            assert node.part == make_nodes(clinical, cfg, [node.attrs])[0].part
+            assert node.part == make_nodes(clinical, cfg, [node.attrs])[node.mask].part
 
 
 def test_candidate_set_removal_prunes_supersets(clinical, clinical_ontology):
@@ -178,47 +179,67 @@ def test_superkey_plan_skips_verification(clinical, clinical_ontology):
             1 << a: LatticeNode((a,), 1 << a, strip(partition(clinical, (a,))), everything)
             for a in (ID, CC)
         }
-        (node,) = calculate_next_level(list(parents.values()), clinical, cfg)
+        (node,) = calculate_next_level(parents, clinical, cfg)
         assert node.attrs == (ID, CC)
         assert node.key_parents == 1 << CC  # lhs {id} is a superkey, {CC} is not
-        _, tested, key_resolved, _ = compute_ofds(
+        _, tested, key_resolved, live = compute_ofds(
             [node], parents, clinical, clinical_ontology, cfg, DiscoveryResult([], [], [])
         )
         assert tested == 2                  # both candidates are examined
         assert key_resolved == (1 if opt3 else 0)
         assert node.key_parents == 1 << CC
+        # {CC} -> id does not hold, so id stays in C+ and the node stays live
+        assert live == {node.mask: node}
 
 
 def test_join_builds_candidates_and_key_parents_from_final_subsets():
-    # Levels are built and tested as discover does.  Each joined node's C+
-    # must be the AND of its subsets' candidate sets as compute_ofds left
-    # them, and key_parents must hold each attribute whose subset without it
-    # is a superkey; both are found here by scanning the previous level.
+    # Levels are built and tested as discover does.  The join must build
+    # exactly the unions of two live nodes whose subsets one level down are
+    # all live.  Each joined node's C+ must be the AND of its subsets'
+    # candidate sets as compute_ofds left them, and key_parents must hold
+    # each attribute whose subset without it is a superkey; both are found
+    # here by scanning the live map.  The map compute_ofds returns must hold,
+    # in level order, the nodes that the dead-node rule leaves alive.
     for seed, stripped_flag in itertools.product(range(30), (True, False)):
         relation, ontology = random_instance(seed + 7000, max_attrs=7, max_rows=14)
         kind = Synonym() if seed % 2 == 0 else Inheritance(seed % 3)
         tau = 1.0 if seed % 4 < 2 else 0.8
-        cfg = DiscoveryConfig(kind=kind, tau=tau, stripped=stripped_flag)
+        cfg = DiscoveryConfig(
+            kind=kind, tau=tau, opt2=seed % 5 != 1, opt3=seed % 5 != 2, stripped=stripped_flag
+        )
         everything = mask_of(range(len(relation.schema)))
         whole = partition(relation, ())
-        level = [
-            LatticeNode((a,), 1 << a, refine(whole, relation, a, cfg.least), everything)
+        live = {
+            1 << a: LatticeNode((a,), 1 << a, refine(whole, relation, a, cfg.least), everything)
             for a in range(len(relation.schema))
-        ]
+        }
         result = DiscoveryResult([], [], [])
-        while level:
-            parents = {node.mask: node for node in level}
-            previous = level
-            level = calculate_next_level(previous, relation, cfg)
+        while live:
+            level = calculate_next_level(live, relation, cfg)
+            unions = {
+                p.mask | q.mask for p, q in itertools.combinations(live.values(), 2)
+                if (p.mask | q.mask).bit_count() == len(p.attrs) + 1
+            }
+            joinable = [
+                m for m in unions
+                if all(m ^ (1 << a) in live for a in range(m.bit_length()) if m >> a & 1)
+            ]
+            assert sorted(n.mask for n in level) == sorted(joinable), (seed, stripped_flag)
             for node in level:
-                subsets = [p for p in previous if p.mask & node.mask == p.mask]
-                assert len(subsets) == len(node.attrs) and not any(p.dead for p in subsets)
+                subsets = [p for p in live.values() if p.mask & node.mask == p.mask]
+                assert len(subsets) == len(node.attrs)
                 candidates = functools.reduce(operator.and_, (p.candidates for p in subsets))
                 key_parents = sum(node.mask ^ p.mask for p in subsets if p.is_superkey)
                 assert (node.candidates, node.key_parents) == (candidates, key_parents), (
                     seed, stripped_flag, node.attrs,
                 )
-            compute_ofds(level, parents, relation, ontology, cfg, result)
+            live = compute_ofds(level, live, relation, ontology, cfg, result)[3]
+            alive = [
+                n for n in level
+                if not (cfg.opt2 and cfg.opt3 and n.is_superkey and n.key_parents
+                        and not n.candidates & n.mask)
+            ]
+            assert list(live.items()) == [(n.mask, n) for n in alive], (seed, stripped_flag)
 
 
 def test_discovery_equals_oracle_on_random_instances():
@@ -369,9 +390,9 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
         1 << a: LatticeNode((a,), 1 << a, strip(partition(clinical, (a,))), mask_of(range(n_attrs)))
         for a in range(n_attrs)
     }
-    level2 = calculate_next_level(list(singles.values()), clinical, cfg)
+    level2 = calculate_next_level(singles, clinical, cfg)
     result = DiscoveryResult([], [], [])
-    emitted, tested, key_resolved, _ = compute_ofds(
+    emitted, tested, key_resolved, live2 = compute_ofds(
         level2, singles, clinical, clinical_ontology, cfg, result
     )
     # the keys {id} and {MED} each decide their five candidates unverified
@@ -384,10 +405,9 @@ def test_compute_ofds_mechanics(clinical, clinical_ontology):
     assert not node_cc_ctry.candidates >> CTRY & 1
     assert not node_cc_ctry.candidates >> CC & 1
     # downstream: {CC, SYMP} -> CTRY is not minimal and never gets tested
-    parents2 = {n.mask: n for n in level2}
-    level3 = calculate_next_level(level2, clinical, cfg)
+    level3 = calculate_next_level(live2, clinical, cfg)
     found_before = len(result.ofds)
-    emitted3 = compute_ofds(level3, parents2, clinical, clinical_ontology, cfg, result)[0]
+    emitted3 = compute_ofds(level3, live2, clinical, clinical_ontology, cfg, result)[0]
     node3 = next(n for n in level3 if n.attrs == (CC, CTRY, SYMP))
     assert not node3.candidates >> CTRY & 1
     assert result.ofds[found_before:] == emitted3 and emitted3
