@@ -14,11 +14,11 @@ smallest class kept, 2 for stripped partitions.
 Attribute sets and candidate sets are ``int`` bitmasks, bit ``a`` standing
 for attribute ``a``, as in TANE; Python ints are unbounded, so any width
 works.  The parent of ``X`` without ``A`` is ``X ^ (1 << A)``.  A level is a
-list of nodes in attribute-tuple order, and the previous level is looked up
-through ``parents``, a dict from mask to node.  Each node also keeps its
-sorted attribute tuple, from which the emitted antecedents are cut.  The
-next level is built from prefix blocks, the live nodes that share all but
-their last attribute, keyed by ``mask ^ (1 << attrs[-1])``.
+list of nodes in attribute-tuple order; its checks return the live ones in a
+dict by mask, where the next join, checks and hook find parents.  Each node
+also keeps its sorted attribute tuple, from which the emitted antecedents are
+cut.  The next level is built from prefix blocks, the live nodes that share
+all but their last attribute, keyed by ``mask ^ (1 << attrs[-1])``.
 
 With both candidate-set pruning and superkey shortcutting on, a node that is
 a superkey, has a superkey parent, and keeps none of its own attributes in
@@ -79,7 +79,7 @@ class LevelStats:
     """Work at one antecedent level.
 
     ``nodes`` counts the lattice nodes materialised at the level (attribute
-    sets of size ``level + 1``) and ``pruned`` those of them found dead.
+    sets of size ``level + 1``) and ``pruned`` those left out of its live map.
     ``key_resolved`` counts the candidates the superkey shortcut decided
     without a call to the kernel.  ``seconds`` is the time spent testing the
     level's candidates and ``product_seconds`` the time
@@ -108,10 +108,11 @@ class LatticeNode:
     each attribute ``a`` of the node whose parent without ``a`` is a
     superkey.  ``calculate_next_level`` builds both masks; ``compute_ofds``
     then clears from ``candidates`` each consequent found to hold.
-    ``is_superkey`` is read from the partition once, when the node is built.
+    ``is_superkey`` is read from the partition once, when the node is built;
+    a node is live while its level's live map holds it.
     """
 
-    __slots__ = ("attrs", "mask", "part", "candidates", "key_parents", "is_superkey", "dead")
+    __slots__ = ("attrs", "mask", "part", "candidates", "key_parents", "is_superkey")
 
     def __init__(self, attrs: AttrSet, mask: int, part: Partition,
                  candidates: int = 0, key_parents: int = 0):
@@ -121,7 +122,6 @@ class LatticeNode:
         self.candidates = candidates
         self.key_parents = key_parents
         self.is_superkey = part.is_superkey
-        self.dead = False
 
 
 @dataclass
@@ -132,26 +132,23 @@ class DiscoveryResult:
 
 
 def calculate_next_level(
-    current: Sequence[LatticeNode], relation: Relation, cfg: DiscoveryConfig
+    live: Mapping[int, LatticeNode], relation: Relation, cfg: DiscoveryConfig
 ) -> list[LatticeNode]:
     """Join pairs of live same-level nodes that share all but their last
     attribute, keeping a join only when all of its subsets are live.
 
-    ``current`` must be in ``attrs`` order, and then so is the result: the
-    prefix blocks come in prefix order and each block in order of its last
-    attribute, so every join extends its left node in order.  ``current``'s
-    candidate sets must be final (``compute_ofds`` is done with them): a
-    join's ``C+`` is the AND of its subsets' sets.  A joined node's
-    partition refines the left node's partition by the right node's last
-    attribute; a superkey's partition already is the identity, so its
-    children take it over unchanged.
+    ``live`` maps each live node of a level by mask, in ``attrs`` order, and
+    then so is the result: the prefix blocks come in prefix order and each
+    block in order of its last attribute, so every join extends its left
+    node in order.  ``compute_ofds`` returns that map once it is done with
+    the level, so its candidate sets are final: a join's ``C+`` is the AND
+    of its subsets' sets.  A joined node's partition refines the left node's
+    partition by the right node's last attribute; a superkey's partition
+    already is the identity, so its children take it over unchanged.
     """
-    live: dict[int, LatticeNode] = {}
     blocks: dict[int, list[LatticeNode]] = {}
-    for node in current:
-        if not node.dead:
-            live[node.mask] = node
-            blocks.setdefault(node.mask ^ (1 << node.attrs[-1]), []).append(node)
+    for node in live.values():
+        blocks.setdefault(node.mask ^ (1 << node.attrs[-1]), []).append(node)
     next_nodes: list[LatticeNode] = []
     for block in blocks.values():
         for i in range(len(block) - 1):
@@ -186,14 +183,15 @@ def compute_ofds(
     ontology: Ontology,
     cfg: DiscoveryConfig,
     result: DiscoveryResult,
-) -> tuple[list[Ofd], int, int, int]:
+) -> tuple[list[Ofd], int, int, dict[int, LatticeNode]]:
     """Test the candidates of one level, prune the candidate sets, append
-    the level's dependencies and minimal keys to ``result``, and mark the
-    level's dead nodes.
+    the level's dependencies and minimal keys to ``result``, and collect the
+    level's live nodes.
 
-    Returns ``(emitted, tested, key_resolved, pruned)``: the level's
+    Returns ``(emitted, tested, key_resolved, live)``: the level's
     dependencies in output order, the candidates tested, those of them the
-    superkey shortcut decided, and the nodes found dead.
+    superkey shortcut decided, and the live map: the nodes not found dead,
+    by mask in level order, which the next level reads as ``parents``.
 
     Only candidates left in ``C+`` are examined (all of them without
     ``opt2``; ``C+`` still decides minimality), and with ``opt3`` those in
@@ -216,7 +214,8 @@ def compute_ofds(
     tables = [sense_table(relation, ontology, a, cfg.kind) for a in range(len(relation.schema))]
     prune = cfg.opt2 and cfg.opt3
     emitted: list[Ofd] = []
-    tested = resolved = pruned = 0
+    tested = resolved = 0
+    live: dict[int, LatticeNode] = {}
     for node in level:
         attrs = node.attrs
         mask = node.mask
@@ -244,13 +243,13 @@ def compute_ofds(
             if not node.key_parents:
                 result.keys_found.append(attrs)
             elif prune and not node.candidates & mask:
-                node.dead = True
-                pruned += 1
+                continue  # dead
+        live[mask] = node
     # One level's antecedents are all one size, so the sorted levels join
     # in output order.
     emitted.sort(key=ofd_order)
     result.ofds.extend(emitted)
-    return emitted, tested, resolved, pruned
+    return emitted, tested, resolved, live
 
 
 def ofd_order(ofd: Ofd) -> tuple:
@@ -285,22 +284,21 @@ def discover(
         raise ValueError("relation must have a non-empty schema")
     everything = (1 << n_attrs) - 1
     whole = partition(relation, ())
-    level = [
-        LatticeNode((a,), 1 << a, refine(whole, relation, a, cfg.least), everything)
+    parents = {
+        1 << a: LatticeNode((a,), 1 << a, refine(whole, relation, a, cfg.least), everything)
         for a in range(n_attrs)
-    ]
-    result = DiscoveryResult([], [], [node.attrs for node in level if node.is_superkey])
+    }
+    result = DiscoveryResult([], [], [node.attrs for node in parents.values() if node.is_superkey])
     # An antecedent has fewer attributes than the schema, so without a cap
     # the level past the last one comes out empty.
     for size in range(1, (cfg.max_level or n_attrs) + 1):
-        parents = {node.mask: node for node in level}
         started = time.perf_counter()
-        level = calculate_next_level(level, relation, cfg)
+        level = calculate_next_level(parents, relation, cfg)
         product_seconds = time.perf_counter() - started
         if not level:
             break
         started = time.perf_counter()
-        emitted, tested, key_resolved, pruned = compute_ofds(
+        emitted, tested, key_resolved, live = compute_ofds(
             level, parents, relation, ontology, cfg, result
         )
         seconds = time.perf_counter() - started
@@ -311,7 +309,8 @@ def discover(
                 on_ofd(ofd, parents[sum(1 << a for a in ofd.lhs)].part)
             report_seconds = time.perf_counter() - started
         result.per_level.append(LevelStats(
-            size, len(level), pruned, tested, key_resolved, len(emitted),
+            size, len(level), len(level) - len(live), tested, key_resolved, len(emitted),
             seconds, product_seconds, report_seconds,
         ))
+        parents = live
     return result
