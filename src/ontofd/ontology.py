@@ -86,7 +86,6 @@ class Ontology:
             for synonym in cls.synonyms:
                 index.setdefault(self.normalize(synonym), set()).add(cls.id)
         self._value_index = {value: frozenset(ids) for value, ids in index.items()}
-        self._closure_cache: dict[ClassId, dict[ClassId, int]] = {}
         self._theta_cache: dict[tuple[str, int], frozenset[ClassId]] = {}
 
     def normalize(self, value: str) -> str:
@@ -124,9 +123,6 @@ class Ontology:
             return {class_id: 0}
         if class_id not in self._classes:
             raise OntologyError(f"unknown class id {class_id!r}")
-        cached = self._closure_cache.get(class_id)
-        if cached is not None:
-            return dict(cached)
         distances: dict[ClassId, int] = {class_id: 0}
         queue = deque([class_id])
         while queue:
@@ -136,8 +132,7 @@ class Ontology:
                 if parent not in distances:
                     distances[parent] = next_distance
                     queue.append(parent)
-        self._closure_cache[class_id] = distances
-        return dict(distances)
+        return distances
 
     def theta_ancestors(self, value: str, theta: int) -> frozenset[ClassId]:
         """Classes within ``theta`` is-a edges above any sense of ``value``."""
