@@ -86,16 +86,13 @@ def minimal_cover(m: OfdSet) -> OfdSet:
     # Antecedent reduction: drop b from lhs while a stays derivable without it.
     # A dependency never witnesses its own reduction (its lhs cannot fit in a
     # proper subset of itself), so no self-exclusion is needed here.
+    # ``derivable`` is monotone in the antecedent: a drop refused once stays
+    # refused after later drops, so one pass is enough.
     for i, (lhs, a) in enumerate(deps):
         attrs = list(lhs)
-        changed = True
-        while changed:
-            changed = False
-            for b in list(attrs):
-                rest = set(attrs) - {b}
-                if derivable(rest, a, skip=None):
-                    attrs.remove(b)
-                    changed = True
+        for b in list(attrs):
+            if derivable(set(attrs) - {b}, a, skip=None):
+                attrs.remove(b)
         deps[i] = (attr_set(attrs), a)
 
     # Dependency removal: drop lhs -> a when the remaining set already
