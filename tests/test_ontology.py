@@ -6,7 +6,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ontofd.lattice import DiscoveryConfig, discover
 from ontofd.ontology import (
     Ontology,
     OntologyClass,
@@ -15,8 +17,12 @@ from ontofd.ontology import (
     is_implicit,
     load_ontology,
 )
+from ontofd.relation import relation_from_rows
+from ontofd.repair import inject_errors, report_violations
+from ontofd.verify import Inheritance, Ofd, Synonym
 
-from gen import random_ontology
+from gen import random_instance, random_ontology
+from oracle import brute_discover, reference_inject_errors, reference_report_violations
 
 
 def make(classes_json: list[dict], **kwargs) -> Ontology:
@@ -216,3 +222,32 @@ def test_case_insensitive_flag_and_trimming():
     exact = make([{"id": "A", "synonyms": ["  Foo "]}])
     assert exact.names("Foo") == {"A"}
     assert exact.names("foo") != {"A"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6))
+def test_case_insensitive_ontology_end_to_end(seed):
+    # cells and synonyms that differ from each other only in case share
+    # their senses, while the partitions still tell the strings apart
+    relation, ontology = random_instance(seed, max_attrs=4, max_rows=12)
+    rng = random.Random(seed)
+    ontology = Ontology([
+        OntologyClass(cls.id, frozenset(
+            s.upper() if rng.random() < 0.3 else s for s in cls.synonyms
+        ), cls.parents)
+        for cls in ontology.classes.values()
+    ], case_insensitive=True)
+    relation = relation_from_rows(relation.schema, [
+        tuple(v.upper() if rng.random() < 0.4 else v for v in row) for row in relation.rows
+    ])
+    width = len(relation.schema)
+    for kind in (Synonym(), Inheritance(seed % 3)):
+        ofds = discover(relation, ontology, DiscoveryConfig(kind=kind)).ofds
+        assert {(frozenset(o.lhs), o.rhs) for o in ofds} == brute_discover(relation, ontology, kind)
+        ofds += [Ofd((a,), b, kind) for a in range(width) for b in range(width) if a != b]
+        got = report_violations(relation, ontology, ofds)
+        assert got == reference_report_violations(relation, ontology, ofds)
+    for rate in (0.1, 0.5):
+        got_table, got_log = inject_errors(relation, rate, seed, ontology=ontology)
+        want_table, want_log = reference_inject_errors(relation, rate, seed, ontology=ontology)
+        assert got_table.rows == want_table.rows and got_log == want_log
