@@ -76,10 +76,9 @@ class RunConfig:
         if self.inject_rate is not None:
             written.append(f"{self.output_path}.inject-log.json")
         paths = [os.path.realpath(p) for p in written if p is not None]
-        if len(set(paths)) < len(paths):
-            raise CliConfigError("two files this run writes are the same path")
-        if {os.path.realpath(self.input_path), os.path.realpath(self.ontology_path)} & set(paths):
-            raise CliConfigError("a file this run writes is --input or --ontology")
+        read = {os.path.realpath(self.input_path), os.path.realpath(self.ontology_path)}
+        if len(set(paths)) < len(paths) or read & set(paths):
+            raise CliConfigError("written files must differ from each other and from the inputs")
 
 
 def ofd_to_record(ofd: Ofd, schema: Sequence[str]) -> dict:

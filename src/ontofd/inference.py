@@ -83,11 +83,10 @@ def minimal_cover(m: OfdSet) -> OfdSet:
             for j, (other_lhs, other_a) in enumerate(deps)
         )
 
-    # Antecedent reduction: drop b from lhs while a stays derivable without it.
-    # A dependency never witnesses its own reduction (its lhs cannot fit in a
+    # Antecedent reduction, in one pass as ``derivable`` is monotone in the
+    # antecedent: drop b from lhs while a stays derivable without it.  A
+    # dependency never witnesses its own reduction (its lhs cannot fit in a
     # proper subset of itself), so no self-exclusion is needed here.
-    # ``derivable`` is monotone in the antecedent: a drop refused once stays
-    # refused after later drops, so one pass is enough.
     for i, (lhs, a) in enumerate(deps):
         attrs = list(lhs)
         for b in list(attrs):
