@@ -8,8 +8,7 @@ linear in the total size of the dependency set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .relation import AttrSet, attr_set
 from .verify import Inheritance, OfdKind, Synonym
@@ -17,17 +16,23 @@ from .verify import Inheritance, OfdKind, Synonym
 Dep = tuple[AttrSet, frozenset[int]]
 
 
-@dataclass(frozen=True)
-class OfdSet:
-    """A homogeneous set of dependencies (all synonym, or all one theta)."""
-
+class _Deps(NamedTuple):
     kind: OfdKind
     deps: tuple[Dep, ...]
 
-    def __post_init__(self) -> None:
-        for lhs, rhs in self.deps:
+
+class OfdSet(_Deps):
+    """A homogeneous set of dependencies (all synonym, or all one theta)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: OfdKind, deps: tuple[Dep, ...]) -> OfdSet:
+        for lhs, rhs in deps:
             if not rhs:
                 raise ValueError("dependency with empty consequent set")
+        return super().__new__(cls, kind, deps)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 def ofd_set(kind: OfdKind, deps: Iterable[tuple[Iterable[int], Iterable[int]]]) -> OfdSet:
@@ -38,8 +43,7 @@ def ofd_set(kind: OfdKind, deps: Iterable[tuple[Iterable[int], Iterable[int]]]) 
     )
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(NamedTuple):
     of: AttrSet
     attrs: frozenset[int]
     used_deps: tuple[int, ...]

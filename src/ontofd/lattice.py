@@ -35,23 +35,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ontology import Ontology
 from .relation import AttrSet, Partition, Relation, partition, refine
 from .verify import Inheritance, Ofd, OfdKind, Synonym, agreement, sense_table
 
 
-@dataclass
-class DiscoveryConfig:
-    """Search parameters: dependency kind, support threshold, and pruning flags.
-
-    ``tau`` is the minimum support; 1.0 requests exact dependencies.
-    ``max_level`` caps the antecedent size.  The four flags disable
-    individual prunings; they never change the discovered set, only the
-    amount of verification work.
-    """
-
+class _Search(NamedTuple):
     kind: OfdKind
     tau: float = 1.0
     max_level: int | None = None
@@ -60,13 +51,29 @@ class DiscoveryConfig:
     opt4: bool = True
     stripped: bool = True
 
-    def __post_init__(self) -> None:
+
+class DiscoveryConfig(_Search):
+    """Search parameters: dependency kind, support threshold, and pruning flags.
+
+    ``tau`` is the minimum support; 1.0 requests exact dependencies.
+    ``max_level`` caps the antecedent size.  The four flags disable
+    individual prunings; they never change the discovered set, only the
+    amount of verification work.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DiscoveryConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
         if self.max_level is not None and self.max_level < 1:
             raise ValueError("max_level must be at least 1")
         if not isinstance(self.kind, (Synonym, Inheritance)):
             raise ValueError("kind must be Synonym or Inheritance")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     @property
     def least(self) -> int:
@@ -124,8 +131,7 @@ class LatticeNode:
         self.is_superkey = part.is_superkey
 
 
-@dataclass
-class DiscoveryResult:
+class DiscoveryResult(NamedTuple):
     ofds: list[Ofd]
     per_level: list[LevelStats]
     keys_found: list[AttrSet]

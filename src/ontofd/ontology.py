@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 ClassId = str
 
@@ -27,8 +26,7 @@ class OntologyError(ValueError):
     """Raised when an ontology document is malformed."""
 
 
-@dataclass(frozen=True)
-class OntologyClass:
+class OntologyClass(NamedTuple):
     """One sense: an id, its synonym strings, and is-a parent links."""
 
     id: ClassId

@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 AttrSet = tuple[int, ...]
@@ -36,36 +36,30 @@ def attr_set(attrs: Iterable[int]) -> AttrSet:
     return result
 
 
-@dataclass(frozen=True)
-class EncodedColumn:
+class EncodedColumn(NamedTuple):
     """One column as dictionary codes.
 
     ``codes[t]`` is the code of tuple ``t``'s cell and ``values[code]`` the
     cell string; codes number the distinct strings in order of first
-    appearance.  ``sense_tables`` holds what ``ontofd.verify`` derives from
-    the column, keyed weakly by ontology so the column never keeps one alive,
-    and is neither compared nor pickled.
+    appearance.
     """
 
     codes: tuple[int, ...]
     values: tuple[str, ...]
-    sense_tables: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, compare=False)
-
-    def __reduce__(self):
-        return EncodedColumn, (self.codes, self.values)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """Immutable table of string cells with a named schema, stored as one
-    ``EncodedColumn`` per attribute.  ``Relation(schema, rows)`` fills them in
-    one pass over ``rows``, and only it checks names and row widths."""
-
+class _Table(NamedTuple):
     schema: tuple[str, ...]
     n: int
     columns: tuple[EncodedColumn, ...]
 
-    def __init__(self, schema: Iterable[str], rows: Iterable[Sequence[str]]):
+
+class Relation(_Table):
+    """Immutable table of string cells with a named schema, stored as one
+    ``EncodedColumn`` per attribute.  ``Relation(schema, rows)`` fills them in
+    one pass over ``rows``, and only it checks names and row widths."""
+
+    def __new__(cls, schema: Iterable[str], rows: Iterable[Sequence[str]]) -> Relation:
         schema = tuple(schema)
         if len(set(schema)) != len(schema):
             raise RelationError("duplicate attribute name in schema")
@@ -85,7 +79,10 @@ class Relation:
                 column.extend(map(index.__getitem__, cells))
             n += len(batch)
         columns = tuple(EncodedColumn(tuple(c), tuple(i)) for c, i in zip(codes, indexes))
-        self.__dict__.update(schema=schema, n=n, columns=columns)  # frozen
+        return super().__new__(cls, schema, n, columns)
+
+    def __reduce__(self):
+        return Relation._make, (tuple(self),)
 
     @property
     def rows(self) -> tuple[tuple[str, ...], ...]:
@@ -93,9 +90,15 @@ class Relation:
         cells = [map(c.values.__getitem__, c.codes) for c in self.columns]
         return tuple(zip(*cells)) or ((),) * self.n
 
+    @cached_property
+    def sense_tables(self) -> WeakKeyDictionary:
+        """What ``ontofd.verify`` derives from the columns, keyed weakly by
+        ontology so the relation never keeps one alive; neither compared nor
+        pickled."""
+        return WeakKeyDictionary()
 
-@dataclass(frozen=True)
-class Partition:
+
+class Partition(NamedTuple):
     """Equivalence classes of tuple ids that agree (string equality) on ``over``.
 
     A stripped partition leaves out the classes of one tuple, which cannot

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from operator import countOf
 from typing import NamedTuple, Sequence
 
@@ -20,8 +19,7 @@ from .relation import Partition, Relation, partition, strip
 from .verify import Ofd, check_attr, class_splits, sense_table
 
 
-@dataclass(frozen=True)
-class CellChange:
+class CellChange(NamedTuple):
     """One injected perturbation: (row, column) with old and new value."""
 
     row: int
@@ -43,8 +41,7 @@ class ClassViolation(NamedTuple):
     suggested_value: str
 
 
-@dataclass(frozen=True)
-class OfdViolationEntry:
+class OfdViolationEntry(NamedTuple):
     ofd: Ofd
     support: float
     violations: tuple[ClassViolation, ...]
@@ -53,8 +50,7 @@ class OfdViolationEntry:
     false_positive_savings: float
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     entries: tuple[OfdViolationEntry, ...]
 
 

@@ -26,7 +26,7 @@ tuples need a majority count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .ontology import ClassId, Ontology
 from .relation import AttrSet, EncodedColumn, Partition, Relation
@@ -70,16 +70,14 @@ class Ofd:
         self.__dict__.update(lhs=lhs, rhs=rhs, kind=kind, support=support)
 
 
-@dataclass(frozen=True)
-class ViolatingClass:
+class ViolatingClass(NamedTuple):
     """An equivalence class whose distinct consequent values share no sense."""
 
     representative: int
     values: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClassMajority:
+class ClassMajority(NamedTuple):
     """Largest single-sense tuple group of one equivalence class.
 
     ``members`` carry a value consistent with ``sense``; ``others`` are the
@@ -93,15 +91,13 @@ class ClassMajority:
     others: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     holds: bool
     support: float
     witnesses: tuple[ViolatingClass, ...]
 
 
-@dataclass(frozen=True)
-class SupportOutcome:
+class SupportOutcome(NamedTuple):
     support: float
     satisfied: int
     classes: tuple[ClassMajority, ...]
@@ -123,8 +119,9 @@ class SenseTable:
     the sense ids of ``values[code]`` (its names for synonym dependencies, its
     ``theta`` ancestors for inheritance ones) and ``names[id]`` the class id.
     Ids number the column's senses in sorted class-id order, so the smallest
-    id of a set is also its smallest class id.  It is a plain class because
-    creating a dataclass would add to the import time every CLI run pays.
+    id of a set is also its smallest class id.  It is a plain class: each
+    dataclass the package builds adds about half a millisecond to the import
+    that every CLI run and script pays.
     """
 
     def __init__(self, column: EncodedColumn, raw: Sequence[frozenset[ClassId]]):
@@ -137,15 +134,15 @@ class SenseTable:
 
 def sense_table(relation: Relation, ontology: Ontology, a: int, kind: OfdKind) -> SenseTable:
     """The sense table of column ``a``, built on first use and then cached."""
-    column = relation.columns[a]
-    by_kind = column.sense_tables.setdefault(ontology, {})
-    table = by_kind.get(kind)
+    tables = relation.sense_tables.setdefault(ontology, {})
+    table = tables.get((a, kind))
     if table is None:
+        column = relation.columns[a]
         if isinstance(kind, Synonym):
             raw = [ontology.names(v) for v in column.values]
         else:
             raw = [ontology.theta_ancestors(v, kind.theta) for v in column.values]
-        table = by_kind[kind] = SenseTable(column, raw)
+        table = tables[a, kind] = SenseTable(column, raw)
     return table
 
 
