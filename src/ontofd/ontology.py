@@ -111,11 +111,15 @@ class Ontology:
             return known
         return frozenset({implicit_class_id(normalized)})
 
-    def ancestor_closure(self, class_id: ClassId) -> dict[ClassId, int]:
-        """All classes reachable upward from ``class_id`` with minimal distance.
+    def ancestor_closure(self, class_id: ClassId, theta: int | None = None) -> dict[ClassId, int]:
+        """Classes reachable upward from ``class_id`` within ``theta`` is-a
+        edges (all of them without a bound), with minimal distance.
 
         The class itself is included at distance 0.  Distances are minimal
-        over all is-a paths, so the result is well defined on DAGs.
+        over all is-a paths, so the result is well defined on DAGs.  The
+        breadth-first search takes classes in order of distance, so it stops
+        at the first class ``theta`` edges up: every class still queued is at
+        least that far.
         """
         if is_implicit(class_id):
             return {class_id: 0}
@@ -126,6 +130,8 @@ class Ontology:
         while queue:
             current = queue.popleft()
             next_distance = distances[current] + 1
+            if theta is not None and next_distance > theta:
+                break
             for parent in self._classes[current].parents:
                 if parent not in distances:
                     distances[parent] = next_distance
@@ -140,14 +146,9 @@ class Ontology:
         cached = self._theta_cache.get(key)
         if cached is not None:
             return cached
-        result: set[ClassId] = set()
-        for sense in self.names(value):
-            for ancestor, distance in self.ancestor_closure(sense).items():
-                if distance <= theta:
-                    result.add(ancestor)
-        frozen = frozenset(result)
-        self._theta_cache[key] = frozen
-        return frozen
+        found = frozenset().union(*(self.ancestor_closure(s, theta) for s in self.names(value)))
+        self._theta_cache[key] = found
+        return found
 
 
 def _without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:

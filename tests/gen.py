@@ -141,3 +141,26 @@ def planted_instance(seed: int, n_rows: int = 5000):
     relation = relation_from_rows(schema, rows)
     planted = [((i,), 5 + i) for i in range(5)]
     return relation, ontology, planted
+
+
+def layered_ontology(rng: random.Random, layers: int = 16, max_width: int = 400,
+                     max_parents: int = 3, reach: int = 1) -> Ontology:
+    """Deep multi-parent is-a DAG: layer ``d`` holds ``min(2**d, max_width)``
+    classes, each with one to ``max_parents`` parents drawn from the ``reach``
+    layers above it, so minimal distances differ from depth differences when
+    ``reach`` exceeds 1.  Class ``L{d}_{i}`` has the synonym ``v{d}_{i}``;
+    one class in five also has one of ten shared words, which gives those
+    values several senses.
+    """
+    ids: list[list[str]] = []
+    classes = []
+    for d in range(layers):
+        ids.append([f"L{d}_{i}" for i in range(min(2 ** d, max_width))])
+        pool = [c for layer in ids[max(0, d - reach):d] for c in layer]
+        for i, class_id in enumerate(ids[d]):
+            parents = rng.sample(pool, min(len(pool), rng.randint(1, max_parents)))
+            synonyms = {f"v{d}_{i}"}
+            if rng.random() < 0.2:
+                synonyms.add(f"shared{rng.randrange(10)}")
+            classes.append(OntologyClass(class_id, frozenset(synonyms), frozenset(parents)))
+    return Ontology(classes)

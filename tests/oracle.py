@@ -46,6 +46,21 @@ def senses_of(ontology: Ontology, value: str, kind: OfdKind):
     return set(ontology.theta_ancestors(value, kind.theta))
 
 
+def reference_ancestor_distances(ontology: Ontology, class_id: str) -> dict[str, int]:
+    """Minimal is-a distances above ``class_id``, relaxed along every parent
+    edge until none shortens."""
+    distances = {class_id: 0}
+    changed = True
+    while changed:
+        changed = False
+        for current, distance in list(distances.items()):
+            for parent in ontology.classes[current].parents:
+                if distances.get(parent, distance + 2) > distance + 1:
+                    distances[parent] = distance + 1
+                    changed = True
+    return distances
+
+
 def class_satisfies(ontology: Ontology, values, kind: OfdKind) -> bool:
     """Literal definition: non-empty intersection over the distinct values."""
     distinct = set(values)

@@ -21,8 +21,13 @@ from ontofd.relation import relation_from_rows
 from ontofd.repair import inject_errors, report_violations
 from ontofd.verify import Inheritance, Ofd, Synonym
 
-from gen import random_instance, random_ontology
-from oracle import brute_discover, reference_inject_errors, reference_report_violations
+from gen import layered_ontology, random_instance, random_ontology
+from oracle import (
+    brute_discover,
+    reference_ancestor_distances,
+    reference_inject_errors,
+    reference_report_violations,
+)
 
 
 def make(classes_json: list[dict], **kwargs) -> Ontology:
@@ -206,6 +211,25 @@ def test_distance_triangle_along_parent_edges():
             for parent in cls.parents:
                 for ancestor, d in o.ancestor_closure(parent).items():
                     assert child[ancestor] <= d + 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(1, 7), st.integers(1, 3))
+def test_bounded_ancestor_search_equals_the_filtered_closure(seed, layers, reach):
+    # multi-parent DAGs whose parents may sit up to ``reach`` layers above,
+    # so a class is often reached by paths of several lengths
+    o = layered_ontology(random.Random(seed), layers=layers, max_width=6, reach=reach)
+    full = {class_id: o.ancestor_closure(class_id) for class_id in o.classes}
+    for class_id, distances in full.items():
+        assert distances == reference_ancestor_distances(o, class_id)
+        for theta in range(layers + 1):
+            within = {c: d for c, d in distances.items() if d <= theta}
+            assert o.ancestor_closure(class_id, theta) == within
+    for value in o.value_index:
+        for theta in range(layers + 1):
+            assert o.theta_ancestors(value, theta) == {
+                c for sense in o.names(value) for c, d in full[sense].items() if d <= theta
+            }
 
 
 def test_load_is_deterministic():
