@@ -3,6 +3,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import random
+import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ontofd
 from ontofd.cli import (
     RunConfig,
     CliConfigError,
@@ -651,6 +657,89 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, target, content
     err = capsys.readouterr().err
     assert code == 2 and not out.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NOT_UTF8 = [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82", b"\xf8\x88\x80\x80\x80"]
+# A JSON member of a class object, which a repeated key copies.
+MEMBER = re.compile(rb'"(?:id|synonyms|parents)": (?:"[^"]*"|\[[^\]]*\])')
+
+
+def corrupt(rng: random.Random, data: bytes) -> bytes:
+    """``data`` with one seeded corruption: a flipped byte, a cut, a stray
+    quote, bytes that are not UTF-8, a repeated key (a JSON member, or a
+    CSV header name) or a repeated line."""
+    at = rng.randrange(len(data) + 1)
+    choice = rng.randrange(6)
+    if choice == 0 and at < len(data):
+        return data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+    if choice == 1:
+        return data[:at]
+    if choice == 2:
+        return data[:at] + b'"' + data[at:]
+    if choice == 3:
+        return data[:at] + rng.choice(NOT_UTF8) + data[at:]
+    if choice == 4:
+        members = list(MEMBER.finditer(data))
+        if members:
+            member = rng.choice(members)
+            return data[:member.end()] + b", " + member.group() + data[member.end():]
+        header, newline, rest = data.partition(b"\n")
+        names = header.split(b",")
+        names[rng.randrange(len(names))] = rng.choice(names)
+        return b",".join(names) + newline + rest
+    lines = data.split(b"\n")
+    line = rng.randrange(len(lines))
+    return b"\n".join(lines[:line + 1] + lines[line:])
+
+
+def test_corrupted_inputs_exit_0_or_2_with_one_line(tmp_path, capsys):
+    # 300 seeded corruptions of the clinical sample and its ontology, each
+    # through a run that mines both kinds, injects errors and reports
+    valid = {"csv": Path(CLINICAL).read_bytes(), "json": Path(ONTOLOGY).read_bytes()}
+    codes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        files = dict(valid)
+        for _ in range(rng.randint(1, 3)):
+            target = rng.choice(sorted(files))
+            files[target] = corrupt(rng, files[target])
+        for suffix, data in files.items():
+            (tmp_path / f"in.{suffix}").write_bytes(data)
+        code = main([
+            "--input", str(tmp_path / "in.csv"), "--ontology", str(tmp_path / "in.json"),
+            "--mode", "both", "--theta", "1", "--tau", "0.8", "--report-violations",
+            "--inject-errors", "0.2", "--seed", str(seed), "--output", str(tmp_path / "out.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code in (0, 2), seed
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (seed, err)
+        else:
+            assert err == "", seed
+        codes[code] += 1
+    # both outcomes occur, so the corruptions reach the parsers and past them
+    assert codes[0] >= 20 and codes[2] >= 20, codes
+
+
+def test_written_files_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(ontofd.__file__).parents[1])
+    written = []
+    for hash_seed in ("0", "1", "2718"):
+        out = tmp_path / f"out-{hash_seed}.json"
+        subprocess.run(
+            [sys.executable, "-m", "ontofd.cli", "--input", CLINICAL, "--ontology", ONTOLOGY,
+             "--mode", "both", "--theta", "2", "--report-violations",
+             "--inject-errors", "0.1", "--output", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                 "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+            check=True, timeout=60,
+        )
+        written.append([
+            Path(f"{out}{suffix}").read_bytes()
+            for suffix in ("", ".violations.json", ".inject-log.json")
+        ])
+    assert written[0] == written[1] == written[2]
+    assert all(written[0])
 
 
 # Names and values with quotes, backslashes, control characters, non-ASCII
