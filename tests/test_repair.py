@@ -47,7 +47,7 @@ def reported_instances(draw):
 @given(reported_instances())
 def test_report_equals_string_reference(instance):
     # the discovered set at tau (1 or k / n) plus arbitrary candidates of
-    # one to three antecedent attributes, valid or not; dataclass equality
+    # one to three antecedent attributes, valid or not; record equality
     # compares the support and savings floats with ==
     relation, ontology, kind, tau, extra = instance
     ofds = discover(relation, ontology, DiscoveryConfig(kind=kind, tau=tau)).ofds + extra
