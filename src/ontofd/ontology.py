@@ -121,6 +121,8 @@ class Ontology:
         at the first class ``theta`` edges up: every class still queued is at
         least that far.
         """
+        if theta is not None and theta < 0:
+            raise ValueError("theta must be non-negative")
         if is_implicit(class_id):
             return {class_id: 0}
         if class_id not in self._classes:
@@ -140,8 +142,6 @@ class Ontology:
 
     def theta_ancestors(self, value: str, theta: int) -> frozenset[ClassId]:
         """Classes within ``theta`` is-a edges above any sense of ``value``."""
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
         key = (self.normalize(value), theta)
         cached = self._theta_cache.get(key)
         if cached is not None:

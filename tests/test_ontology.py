@@ -232,6 +232,17 @@ def test_bounded_ancestor_search_equals_the_filtered_closure(seed, layers, reach
             }
 
 
+def test_negative_theta_is_rejected():
+    o = make(JAGUAR)
+    for query in (
+        lambda: o.theta_ancestors("jaguar", -1),
+        lambda: o.ancestor_closure("E3", -1),
+        lambda: o.ancestor_closure(implicit_class_id("x"), -1),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            query()
+
+
 def test_load_is_deterministic():
     doc = json.dumps({"classes": JAGUAR})
     a = load_ontology(io.StringIO(doc))
