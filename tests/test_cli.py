@@ -659,6 +659,23 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, target, content
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_trailing_blank_lines_leave_the_output_as_it_is(tmp_path, capsys):
+    args = ["--ontology", ONTOLOGY, "--mode", "both", "--theta", "2", "--tau", "0.8"]
+    want = tmp_path / "want.json"
+    assert main(["--input", CLINICAL, *args, "--output", str(want)]) == 0
+    text = Path(CLINICAL).read_bytes()
+    for extra in (b"\n", b"\n\n"):
+        padded, out = tmp_path / "padded.csv", tmp_path / "out.json"
+        padded.write_bytes(text + extra)
+        assert main(["--input", str(padded), *args, "--output", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+    # a blank line before more data is the row it stands in
+    lines = text.splitlines(keepends=True)
+    padded.write_bytes(b"".join(lines[:4] + [b"\n"] + lines[4:]))
+    assert main(["--input", str(padded), *args]) == 2
+    assert capsys.readouterr().err == "error: row 4 has 0 cells, expected 6\n"
+
+
 NOT_UTF8 = [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82", b"\xf8\x88\x80\x80\x80"]
 # A JSON member of a class object, which a repeated key copies.
 MEMBER = re.compile(rb'"(?:id|synonyms|parents)": (?:"[^"]*"|\[[^\]]*\])')

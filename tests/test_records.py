@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,21 @@ def replaced(record, **changes):
     if dataclasses.is_dataclass(record):
         return dataclasses.replace(record, **changes)
     return record._replace(**changes)
+
+
+def test_import_adds_neither_dataclasses_nor_inspect():
+    # Compared with the modules loaded before the import, so a site hook
+    # that loads either module first cannot break the test.
+    src = str(Path(ontofd.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import ontofd, ontofd.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_only_records_read_as_dataclasses_are_dataclasses():

@@ -26,7 +26,7 @@ from ontofd.relation import (
 from ontofd.repair import inject_errors
 from ontofd.verify import support_synonym
 
-from conftest import CC, CTRY, DIAG, SYMP
+from conftest import CC, CTRY, DATA, DIAG, SYMP
 from gen import random_relation, synth_relation
 from oracle import naive_partition
 
@@ -68,6 +68,21 @@ def test_load_errors():
         load_relation(io.StringIO('a,b\n1,"x\n2,3\n'))
     with pytest.raises(RelationError, match="line 2: ',' expected after '\"'"):
         load_relation(io.StringIO('a,b\n"1" ,2\n'))
+
+
+def test_trailing_blank_lines_are_dropped(tmp_path, clinical):
+    text = (DATA / "clinical.csv").read_text(encoding="utf-8")
+    for extra in ("\n", "\n\n", "\r\n"):
+        path = tmp_path / "blank.csv"
+        path.write_text(text + extra, encoding="utf-8", newline="")
+        for source in (path, io.StringIO(text + extra)):
+            assert load_relation(source) == clinical
+    assert load_relation(io.StringIO("1,2\n\n"), header=False).rows == (("1", "2"),)
+    assert load_relation(io.StringIO("a,b\n\n")).n == 0
+    # a blank line with data after it is still a row without cells
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(RelationError, match="row 4 has 0 cells, expected 6"):
+        load_relation(io.StringIO("".join(lines[:4] + ["\n"] + lines[4:] + ["\n"])))
 
 
 def test_leading_bom_is_dropped(tmp_path):
