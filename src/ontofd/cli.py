@@ -11,9 +11,8 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .inference import kind_label
 from .lattice import DiscoveryConfig, discover
@@ -32,8 +31,7 @@ class CliConfigError(Exception):
     """Invalid flags or flag combinations."""
 
 
-@dataclass
-class RunConfig:
+class _Run(NamedTuple):
     input_path: str
     ontology_path: str
     mode: str = "syn"
@@ -51,7 +49,12 @@ class RunConfig:
     inject_rate: float | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_Run):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("syn", "inh", "both"):
             raise CliConfigError(f"unknown mode {self.mode!r}")
         if self.mode in ("inh", "both") and self.theta is None:
@@ -79,6 +82,9 @@ class RunConfig:
         read = {os.path.realpath(self.input_path), os.path.realpath(self.ontology_path)}
         if len(set(paths)) < len(paths) or read & set(paths):
             raise CliConfigError("written files must differ from each other and from the inputs")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 def ofd_to_record(ofd: Ofd, schema: Sequence[str]) -> dict:
@@ -228,7 +234,7 @@ def run(cfg: RunConfig) -> int:
                 )
                 all_ofds.extend(result.ofds)
                 label = kind_label(kind)
-                stats_rows.extend({"kind": label, **asdict(row)} for row in result.per_level)
+                stats_rows.extend({"kind": label, **row._asdict()} for row in result.per_level)
             if cfg.report_violations:
                 report_file.write("[]\n" if head == "[" else "\n]\n")
 

@@ -34,7 +34,6 @@ antecedents, and ``max_level`` caps the antecedent size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .ontology import Ontology
@@ -81,8 +80,7 @@ class DiscoveryConfig(_Search):
         return 2 if self.stripped else 1
 
 
-@dataclass(frozen=True)
-class LevelStats:
+class LevelStats(NamedTuple):
     """Work at one antecedent level.
 
     ``nodes`` counts the lattice nodes materialised at the level (attribute

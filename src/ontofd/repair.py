@@ -30,8 +30,7 @@ class CellChange(NamedTuple):
 
 class ClassViolation(NamedTuple):
     """One equivalence class that fails the exact check, split into the
-    tuples consistent with the majority sense and the minority remainder;
-    a named tuple, cheaper to build than a frozen dataclass."""
+    tuples consistent with the majority sense and the minority remainder."""
 
     representative: int
     majority_sense: str

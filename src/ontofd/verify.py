@@ -25,49 +25,54 @@ tuples need a majority count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .ontology import ClassId, Ontology
 from .relation import AttrSet, EncodedColumn, Partition, Relation
 
 
-@dataclass(frozen=True)
-class Synonym:
+class Synonym(NamedTuple):
     """Consequent values must share a sense within each class."""
 
 
-@dataclass(frozen=True)
-class Inheritance:
-    """Consequent values must share an ancestor within ``theta`` is-a edges."""
-
+class _Theta(NamedTuple):
     theta: int
 
-    def __post_init__(self) -> None:
-        if self.theta < 0:
+
+class Inheritance(_Theta):
+    """Consequent values must share an ancestor within ``theta`` is-a edges."""
+
+    __slots__ = ()
+
+    def __new__(cls, theta: int) -> Inheritance:
+        if theta < 0:
             raise ValueError("theta must be non-negative")
+        return tuple.__new__(cls, (theta,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 OfdKind = Union[Synonym, Inheritance]
 
 
-@dataclass(frozen=True, init=False)
-class Ofd:
-    """A dependency lhs -> rhs of a given kind, with optional support."""
-
+class _Dep(NamedTuple):
     lhs: AttrSet
     rhs: int
     kind: OfdKind
     support: float | None = None
 
-    def __init__(
-        self, lhs: AttrSet, rhs: int, kind: OfdKind, support: float | None = None
-    ) -> None:
-        # Filled in directly: discovery builds thousands, and the frozen
-        # dataclass ``__init__`` sets each field through ``object.__setattr__``.
+
+class Ofd(_Dep):
+    """A dependency lhs -> rhs of a given kind, with optional support."""
+
+    __slots__ = ()
+
+    def __new__(cls, lhs: AttrSet, rhs: int, kind: OfdKind, support: float | None = None) -> Ofd:
         if rhs in lhs:
             raise ValueError("trivial dependency: rhs appears in lhs")
-        self.__dict__.update(lhs=lhs, rhs=rhs, kind=kind, support=support)
+        return tuple.__new__(cls, (lhs, rhs, kind, support))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 class ViolatingClass(NamedTuple):
@@ -119,9 +124,8 @@ class SenseTable:
     the sense ids of ``values[code]`` (its names for synonym dependencies, its
     ``theta`` ancestors for inheritance ones) and ``names[id]`` the class id.
     Ids number the column's senses in sorted class-id order, so the smallest
-    id of a set is also its smallest class id.  It is a plain class: each
-    dataclass the package builds adds about half a millisecond to the import
-    that every CLI run and script pays.
+    id of a set is also its smallest class id.  It is a plain class: a
+    table is never compared, hashed or pickled.
     """
 
     def __init__(self, column: EncodedColumn, raw: Sequence[frozenset[ClassId]]):

@@ -1,9 +1,9 @@
-"""Result records: which are dataclasses, and what every record keeps.
+"""Result records: none is a dataclass, and what every record keeps.
 
-Five records are dataclasses because callers read them as dataclasses
-(``fields``, ``replace``, ``asdict``); every other result record keeps its
-fields, keyword construction, equality, hash, ``repr``, pickling,
-immutability and validation whatever class it is built with.
+Every record is a named tuple, so that importing the package needs neither
+``dataclasses`` nor ``inspect``; each keeps its fields, keyword
+construction, equality, hash, ``repr``, pickling, immutability and
+validation.
 """
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 import ontofd
+from ontofd.cli import CliConfigError, RunConfig
 from ontofd.inference import Closure, OfdSet
-from ontofd.lattice import DiscoveryConfig, DiscoveryResult
+from ontofd.lattice import DiscoveryConfig, DiscoveryResult, LevelStats
 from ontofd.ontology import OntologyClass
 from ontofd.relation import EncodedColumn, Partition, Relation, RelationError
 from ontofd.repair import CellChange, ClassViolation, OfdViolationEntry, ViolationReport
@@ -72,25 +73,25 @@ CASES = {
         dict(ofd=ENTRY.ofd, support=0.5, violations=ENTRY.violations, false_positive_savings=0.0),
     ),
     "ViolationReport": (ViolationReport, dict(entries=(ENTRY,))),
+    "Synonym": (Synonym, dict()),
+    "Inheritance": (Inheritance, dict(theta=2)),
+    "Ofd": (Ofd, dict(lhs=(0, 2), rhs=1, kind=Inheritance(2), support=0.5)),
+    "LevelStats": (
+        LevelStats,
+        dict(level=1, nodes=15, pruned=2, candidates=30, key_resolved=4, ofds=3, seconds=0.5,
+             product_seconds=0.25, report_seconds=0.0),
+    ),
+    "RunConfig": (
+        RunConfig,
+        dict(input_path="x", ontology_path="y", mode="both", theta=2, tau=0.5, max_level=3,
+             output_path="o", report_format="text", stats_path="s", opt2=False, opt3=False,
+             opt4=False, stripped=False, report_violations=True, inject_rate=0.1, seed=4),
+    ),
 }
 FIELDS = {name: tuple(kwargs) for name, (_, kwargs) in CASES.items()}
 FIELDS["Relation"] = ("schema", "n", "columns")
 # The one record that holds lists, and so has no hash.
 UNHASHABLE = {"DiscoveryResult"}
-
-
-def record_fields(cls) -> tuple[str, ...]:
-    """The compared fields of a dataclass, or a named tuple's fields."""
-    if dataclasses.is_dataclass(cls):
-        return tuple(f.name for f in dataclasses.fields(cls) if f.compare)
-    return cls._fields
-
-
-def replaced(record, **changes):
-    """``_replace`` on a named tuple, ``dataclasses.replace`` on a dataclass."""
-    if dataclasses.is_dataclass(record):
-        return dataclasses.replace(record, **changes)
-    return record._replace(**changes)
 
 
 def test_import_adds_neither_dataclasses_nor_inspect():
@@ -108,7 +109,7 @@ def test_import_adds_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
-def test_only_records_read_as_dataclasses_are_dataclasses():
+def test_no_record_is_a_dataclass():
     found = set()
     for path in sorted(Path(ontofd.__file__).parent.glob("*.py")):
         module = importlib.import_module(f"ontofd.{path.stem}".removesuffix(".__init__"))
@@ -117,15 +118,15 @@ def test_only_records_read_as_dataclasses_are_dataclasses():
                 if dataclasses.is_dataclass(value):
                     found.add(value.__name__)
     exported = {name for name in ontofd.__all__ if dataclasses.is_dataclass(getattr(ontofd, name))}
-    assert found == {"Ofd", "Synonym", "Inheritance", "LevelStats", "RunConfig"}
-    assert exported == {"Ofd", "Synonym", "Inheritance", "LevelStats"}
+    assert found == set()
+    assert exported == set()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_result_record_semantics(name):
     cls, kwargs = CASES[name]
     record = cls(**kwargs)
-    assert record_fields(cls) == FIELDS[name]
+    assert cls._fields == FIELDS[name]
     assert record == cls(*kwargs.values())
     if name != "Relation":
         assert all(getattr(record, key) == value for key, value in kwargs.items())
@@ -155,12 +156,26 @@ def test_validation_errors_remain():
         with pytest.raises(ValueError):
             DiscoveryConfig(**{"kind": Synonym(), **bad})
         with pytest.raises(ValueError):
-            replaced(cfg, **bad)
+            cfg._replace(**bad)
     deps = (((0,), frozenset()),)
     with pytest.raises(ValueError, match="empty consequent"):
         OfdSet(Synonym(), deps)
     with pytest.raises(ValueError, match="empty consequent"):
-        replaced(OfdSet(Synonym(), ()), deps=deps)
+        OfdSet(Synonym(), ())._replace(deps=deps)
+    with pytest.raises(ValueError, match="non-negative"):
+        Inheritance(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        Inheritance(2)._replace(theta=-1)
+    with pytest.raises(ValueError, match="trivial"):
+        Ofd((0, 1), 1, Synonym())
+    with pytest.raises(ValueError, match="trivial"):
+        Ofd((0,), 1, Synonym())._replace(lhs=(0, 1))
+    run = RunConfig("x", "y")
+    for bad in (dict(tau=0.0), dict(mode="x")):
+        with pytest.raises(CliConfigError):
+            RunConfig("x", "y", **bad)
+        with pytest.raises(CliConfigError):
+            run._replace(**bad)
     with pytest.raises(RelationError, match="duplicate"):
         Relation(("a", "a"), [])
     with pytest.raises(RelationError, match="row 2"):

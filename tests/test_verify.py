@@ -1,7 +1,6 @@
 """Exact and approximate candidate verification."""
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import random
 from itertools import combinations
@@ -233,7 +232,7 @@ def test_rejects_rhs_inside_antecedent(clinical, clinical_ontology):
         Ofd((CC,), CC, Synonym())
 
 
-def test_ofd_is_a_frozen_dataclass():
+def test_ofd_is_an_immutable_record():
     ofd = Ofd((0, 2), 1, Inheritance(2), 0.5)
     assert ofd == Ofd(lhs=(0, 2), rhs=1, kind=Inheritance(2), support=0.5)
     assert hash(ofd) == hash(Ofd((0, 2), 1, Inheritance(2), 0.5))
@@ -243,15 +242,15 @@ def test_ofd_is_a_frozen_dataclass():
     assert Ofd(rhs=1, kind=Synonym(), lhs=(0,)) == Ofd((0,), 1, Synonym(), None)
     with pytest.raises(ValueError, match="trivial"):
         Ofd(lhs=(0, 1), rhs=1, kind=Synonym())
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ofd.support = 1.0
-    assert [f.name for f in dataclasses.fields(Ofd)] == ["lhs", "rhs", "kind", "support"]
-    assert dataclasses.replace(ofd, support=1.0) == Ofd((0, 2), 1, Inheritance(2), 1.0)
+    assert Ofd._fields == ("lhs", "rhs", "kind", "support")
+    assert ofd._replace(support=1.0) == Ofd((0, 2), 1, Inheritance(2), 1.0)
     with pytest.raises(ValueError, match="trivial"):
-        dataclasses.replace(ofd, rhs=2)
-    assert dataclasses.asdict(ofd) == {
-        "lhs": (0, 2), "rhs": 1, "kind": {"theta": 2}, "support": 0.5
-    }
+        ofd._replace(rhs=2)
+    # ``_asdict`` does not recurse into the kind
+    assert ofd._asdict() == {"lhs": (0, 2), "rhs": 1, "kind": Inheritance(2), "support": 0.5}
+    assert ofd.kind._asdict() == {"theta": 2}
     copy = pickle.loads(pickle.dumps(ofd))
     assert copy == ofd and hash(copy) == hash(ofd)
 
