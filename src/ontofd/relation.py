@@ -57,7 +57,8 @@ class _Table(NamedTuple):
 class Relation(_Table):
     """Immutable table of string cells with a named schema, stored as one
     ``EncodedColumn`` per attribute.  ``Relation(schema, rows)`` fills them in
-    one pass over ``rows``, and only it checks names and row widths."""
+    one pass over ``rows``, and only it checks names and row widths; empty
+    rows at the end, as blank lines that end a CSV file give, are dropped."""
 
     def __new__(cls, schema: Iterable[str], rows: Iterable[Sequence[str]]) -> Relation:
         schema = tuple(schema)
@@ -74,7 +75,10 @@ class Relation(_Table):
         while batch := list(islice(rows, 256)):
             for i, row in enumerate(batch, n + 1):
                 if len(row) != width:
-                    raise RelationError(f"row {i} has {len(row)} cells, expected {width}")
+                    if row or any(batch[i - n:]) or any(rows):  # empty rows drop only at the end
+                        raise RelationError(f"row {i} has {len(row)} cells, expected {width}")
+                    del batch[i - n - 1:]
+                    break
             for index, column, cells in zip(indexes, codes, zip(*batch)):
                 column.extend(map(index.__getitem__, cells))
             n += len(batch)

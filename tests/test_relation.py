@@ -79,7 +79,10 @@ def test_trailing_blank_lines_are_dropped(tmp_path, clinical):
             assert load_relation(source) == clinical
     assert load_relation(io.StringIO("1,2\n\n"), header=False).rows == (("1", "2"),)
     assert load_relation(io.StringIO("a,b\n\n")).n == 0
+    assert relation_from_rows(["a"], [("x",), (), ()]) == relation_from_rows(["a"], [("x",)])
     # a blank line with data after it is still a row without cells
+    with pytest.raises(RelationError, match="row 1 has 0 cells"):
+        relation_from_rows(["a"], [(), ("x",)])
     lines = text.splitlines(keepends=True)
     with pytest.raises(RelationError, match="row 4 has 0 cells, expected 6"):
         load_relation(io.StringIO("".join(lines[:4] + ["\n"] + lines[4:] + ["\n"])))
