@@ -55,14 +55,14 @@ class Inheritance(_Theta):
 OfdKind = Union[Synonym, Inheritance]
 
 
-class _Dep(NamedTuple):
+class _Rule(NamedTuple):
     lhs: AttrSet
     rhs: int
     kind: OfdKind
     support: float | None = None
 
 
-class Ofd(_Dep):
+class Ofd(_Rule):
     """A dependency lhs -> rhs of a given kind, with optional support."""
 
     __slots__ = ()

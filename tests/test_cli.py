@@ -663,8 +663,8 @@ def test_trailing_blank_lines_leave_the_output_as_it_is(tmp_path, capsys):
     want = tmp_path / "want.json"
     assert main(["--input", CLINICAL, *args, "--output", str(want)]) == 0
     text = Path(CLINICAL).read_bytes()
+    padded, out = tmp_path / "padded.csv", tmp_path / "out.json"
     for extra in (b"\n", b"\n\n"):
-        padded, out = tmp_path / "padded.csv", tmp_path / "out.json"
         padded.write_bytes(text + extra)
         assert main(["--input", str(padded), *args, "--output", str(out)]) == 0
         assert out.read_bytes() == want.read_bytes()
