@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import re
@@ -493,7 +492,8 @@ class CountingOntology(Ontology):
 def test_inject_errors_looks_up_each_value_once():
     # a unique-valued column whose values share senses in overlapping
     # windows, plus a repeated column; the output must match the rescanning
-    # reference with one lookup per distinct value and per chosen cell
+    # reference with one lookup per distinct value of the two columns.  The
+    # senses are cached on the relation, so each rate gets a fresh one.
     n = 300
     classes = [
         OntologyClass(f"s{k}", frozenset(str(i) for i in range(3 * k, min(3 * k + 4, n))),
@@ -501,14 +501,15 @@ def test_inject_errors_looks_up_each_value_once():
         for k in range(n // 3)
     ]
     ontology = CountingOntology(classes)
-    relation = relation_from_rows(["id", "k"], [(str(i), str(i % 7)) for i in range(n)])
+    rows = [(str(i), str(i % 7)) for i in range(n)]
     for rate in (0.01, 0.1, 0.5):
+        relation = relation_from_rows(["id", "k"], rows)
         ontology.calls = 0
         got_table, got_log = inject_errors(relation, rate, 5, ontology=ontology)
         calls = ontology.calls
         want_table, want_log = reference_inject_errors(relation, rate, 5, ontology=ontology)
         assert got_table.rows == want_table.rows and got_log == want_log
-        assert calls <= n + 7 + math.ceil(rate * n), (rate, calls)
+        assert calls <= n + 7, (rate, calls)
 
 
 def test_violation_report_suggests_majority_value():

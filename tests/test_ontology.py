@@ -21,6 +21,7 @@ from ontofd.relation import relation_from_rows
 from ontofd.repair import inject_errors, report_violations
 from ontofd.verify import Inheritance, Ofd, Synonym
 
+from conftest import DATA
 from gen import layered_ontology, random_instance, random_ontology
 from oracle import (
     brute_discover,
@@ -241,6 +242,27 @@ def test_negative_theta_is_rejected():
     ):
         with pytest.raises(ValueError, match="non-negative"):
             query()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_ontology(DATA / "clinical_ontology.json"),
+    lambda: layered_ontology(random.Random(3), layers=5, max_width=8, reach=2),
+], ids=["clinical", "layered"])
+def test_queries_leave_the_ontology_unchanged(build):
+    # an ontology is read-only after construction: no query stores anything
+    o = build()
+
+    def snapshot():
+        return {k: len(v) if hasattr(v, "__len__") else v for k, v in vars(o).items()}
+
+    before = snapshot()
+    values = [s for cls in o.classes.values() for s in cls.synonyms] + ["no such value"]
+    for value in values:
+        for sense in o.names(value):
+            o.ancestor_closure(sense)
+        for theta in range(4):
+            o.theta_ancestors(value, theta)
+    assert snapshot() == before
 
 
 def test_load_is_deterministic():
