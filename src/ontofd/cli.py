@@ -205,7 +205,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.mode in ("syn", "both"):
         kinds.append(Synonym())
     if cfg.mode in ("inh", "both"):
-        kinds.append(Inheritance(cfg.theta or 0))
+        kinds.append(Inheritance(cfg.theta))
 
     all_ofds: list[Ofd] = []
     stats_rows: list[dict] = []

@@ -84,7 +84,6 @@ class Ontology:
             for synonym in cls.synonyms:
                 index.setdefault(self.normalize(synonym), set()).add(cls.id)
         self._value_index = {value: frozenset(ids) for value, ids in index.items()}
-        self._theta_cache: dict[tuple[str, int], frozenset[ClassId]] = {}
 
     def normalize(self, value: str) -> str:
         return value.casefold() if self.case_insensitive else value
@@ -142,13 +141,7 @@ class Ontology:
 
     def theta_ancestors(self, value: str, theta: int) -> frozenset[ClassId]:
         """Classes within ``theta`` is-a edges above any sense of ``value``."""
-        key = (self.normalize(value), theta)
-        cached = self._theta_cache.get(key)
-        if cached is not None:
-            return cached
-        found = frozenset().union(*(self.ancestor_closure(s, theta) for s in self.names(value)))
-        self._theta_cache[key] = found
-        return found
+        return frozenset().union(*(self.ancestor_closure(s, theta) for s in self.names(value)))
 
 
 def _without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -5,7 +5,9 @@ tuples agreeing on its majority sense and a minority, and suggests a repair
 for the minority.  It works on the relation's dictionary-encoded columns
 and compares values by code; one pass over an antecedent's partition builds
 a dependency's entry.  ``inject_errors`` perturbs cells to plant
-violations for recall experiments.
+violations for recall experiments.  Both read a column's senses from its
+``sense_table``: the report under the dependency's kind, injection under
+``Synonym``.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .ontology import Ontology, display_label
 from .relation import Partition, Relation, partition, strip
-from .verify import Ofd, check_attr, class_splits, sense_table
+from .verify import Ofd, Synonym, check_attr, class_splits, sense_table
 
 
 class CellChange(NamedTuple):
@@ -53,23 +55,6 @@ class ViolationReport(NamedTuple):
     entries: tuple[OfdViolationEntry, ...]
 
 
-class _SharedSenses:
-    """Which of a column's sorted distinct values share a sense, with each
-    value's senses looked up once."""
-
-    def __init__(self, ontology: Ontology, values: Sequence[str]):
-        self.senses = [ontology.names(v) for v in values]
-        self.holders: dict[str, list[int]] = {}
-        for i, senses in enumerate(self.senses):
-            for sense in senses:
-                self.holders.setdefault(sense, []).append(i)
-
-    def positions(self, at: int) -> list[int]:
-        """Sorted positions of the values sharing a sense with value ``at``,
-        ``at`` included: every value has at least one sense."""
-        return sorted({i for sense in self.senses[at] for i in self.holders[sense]})
-
-
 def inject_errors(
     relation: Relation,
     rate: float,
@@ -84,7 +69,8 @@ def inject_errors(
     indexes (all columns by default).  When an ontology is supplied,
     replacement values that share no sense with the original are preferred,
     so the logged cells break sense agreement whenever the column offers such
-    a value.  The same seed always produces the same perturbation.
+    a value; senses come from the column's synonym ``SenseTable``, which is
+    cached on ``relation``.  The same seed always gives the same perturbation.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must be in [0, 1)")
@@ -104,7 +90,9 @@ def inject_errors(
     # Per column: the sorted distinct values, and the position of each.
     values = {col: sorted(relation.columns[col].values) for col in target_columns}
     position = {col: {v: i for i, v in enumerate(vals)} for col, vals in values.items()}
-    sharing: dict[int, _SharedSenses] = {}
+    # Per column, built on first use: the positions of the values holding
+    # each sense id of the column's synonym table.
+    holders: dict[int, dict[int, list[int]]] = {}
     log: list[CellChange] = []
     for row, col in sorted(chosen):
         old = table[col][row]
@@ -116,9 +104,15 @@ def inject_errors(
         # the draw, and the drawn index steps past each gap not above it.
         gaps = [at] if len(vals) > 1 else []
         if ontology is not None:
-            if col not in sharing:
-                sharing[col] = _SharedSenses(ontology, vals)
-            breaking = sharing[col].positions(at)
+            synonyms = sense_table(relation, ontology, col, Synonym())
+            if col not in holders:
+                holders[col] = {}
+                for v, held in zip(synonyms.values, synonyms.senses):
+                    for sense in held:
+                        holders[col].setdefault(sense, []).append(position[col][v])
+            # Every value has a sense, so ``at`` is among the positions.
+            held = synonyms.senses[synonyms.codes[row]]
+            breaking = sorted({i for sense in held for i in holders[col][sense]})
             if len(breaking) < len(vals):
                 gaps = breaking
         index = rng.choice(range(len(vals) - len(gaps)))
