@@ -106,10 +106,10 @@ def inject_errors(
         if ontology is not None:
             synonyms = sense_table(relation, ontology, col, Synonym())
             if col not in holders:
-                holders[col] = {}
-                for v, held in zip(synonyms.values, synonyms.senses):
-                    for sense in held:
-                        holders[col].setdefault(sense, []).append(position[col][v])
+                holders[col] = by_sense = {}
+                for v, senses in zip(synonyms.values, synonyms.senses):
+                    for sense in senses:
+                        by_sense.setdefault(sense, []).append(position[col][v])
             # Every value has a sense, so ``at`` is among the positions.
             held = synonyms.senses[synonyms.codes[row]]
             breaking = sorted({i for sense in held for i in holders[col][sense]})

@@ -132,8 +132,8 @@ class SenseTable:
         self.codes = column.codes
         self.values = column.values
         self.names: tuple[ClassId, ...] = tuple(sorted(set().union(*raw)))
-        ids = {name: i for i, name in enumerate(self.names)}
-        self.senses = tuple(frozenset(ids[s] for s in r) for r in raw)
+        ids = {name: i for i, name in enumerate(self.names)}.__getitem__
+        self.senses = tuple(frozenset(map(ids, r)) for r in raw)
 
 
 def sense_table(relation: Relation, ontology: Ontology, a: int, kind: OfdKind) -> SenseTable:
